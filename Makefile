@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-query bench-service bench-sweep bench-compile load-smoke docs experiments scenarios tidy check
+.PHONY: all build vet test race flake bench bench-query bench-service bench-sweep bench-compile load-smoke docs experiments scenarios tidy check
 
 all: check
 
@@ -19,6 +19,13 @@ test:
 # (internal/core and internal/query hammer shared engines).
 race:
 	$(GO) test -race ./...
+
+# The ordering-flake gate: the packages whose tests drive concurrent
+# streams, run repeatedly in shuffled order, so a test that asserts an
+# order its contract does not promise fails here instead of passing on
+# lucky scheduling.
+flake:
+	$(GO) test -count=20 -shuffle=on ./internal/service ./internal/query ./internal/load
 
 # Full benchmark suite: every paper experiment (verified per iteration)
 # plus the engine performance benchmarks.
@@ -41,11 +48,14 @@ bench-service:
 # comparison, the structure-sharing chain (engines seeded from a
 # shape-equal neighbour vs independent engines per assignment), the
 # incremental independence scan cold vs seeded, and the exact-arithmetic
-# measure kernel vs the naive big.Rat fold (both tiers, both shapes).
+# measure kernel vs the naive big.Rat fold (both tiers, both shapes),
+# and the unfold alone (nsquad n=2..4), the layer every cold assignment
+# pays before its engine exists.
 # Baseline numbers are recorded in BENCHMARKS.md; re-run this target
-# after touching the engine's memo tables, the shape gate or the kernel.
+# after touching the engine's memo tables, the shape gate, the kernel or
+# the unfold.
 bench-sweep:
-	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel' -benchmem .
+	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold' -benchmem .
 
 # Bench-compile smoke: run every benchmark in every package exactly once,
 # so CI catches a benchmark that no longer compiles or dies on its first

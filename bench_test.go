@@ -299,6 +299,23 @@ func BenchmarkPerfNSquadScale(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfNSquadUnfold isolates the protocol unfold (Model →
+// pps.System, Build's validation included) of the n-agent squad at an
+// awkward-denominator loss, with no engine or query on top: the layer a
+// cold sweep assignment pays before its engine exists.
+func BenchmarkPerfNSquadUnfold(b *testing.B) {
+	for _, n := range []int{2, 3, 4} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pak.NFiringSquadSystem(n, pak.Rat(63, 127), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE15QueryBatch regenerates the query-layer invariants (batch =
 // serial, exact, order-preserving) per iteration.
 func BenchmarkE15QueryBatch(b *testing.B) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
+	"sync"
 
 	"pak/internal/protocol"
 	"pak/internal/ratutil"
@@ -44,9 +45,20 @@ type Msg struct {
 func (m Msg) String() string { return fmt.Sprintf("%d→%d:%q", m.From, m.To, m.Payload) }
 
 // Net is a lossy synchronous network with a fixed per-message loss
-// probability.
+// probability. Copies of a Net share one pattern-table cache, so a model
+// holding a Net by value still builds each table once.
 type Net struct {
-	loss *big.Rat
+	loss   *big.Rat
+	tables *patternTables
+}
+
+// patternTables caches Patterns' output per message count: the
+// distribution depends only on len(msgs) and the loss, so it is built
+// once and shared by every call. The mutex makes the cache safe for the
+// concurrent callers a shared model sees (parallel unfolds, samplers).
+type patternTables struct {
+	mu      sync.Mutex
+	byCount [][]protocol.Weighted[string] // nil until built
 }
 
 // New returns a network losing each message independently with the given
@@ -55,7 +67,7 @@ func New(loss *big.Rat) (Net, error) {
 	if loss == nil || !ratutil.IsProb(loss) {
 		return Net{}, fmt.Errorf("%w: %v", ErrBadLoss, loss)
 	}
-	return Net{loss: ratutil.Copy(loss)}, nil
+	return Net{loss: ratutil.Copy(loss), tables: new(patternTables)}, nil
 }
 
 // MustNew is New, panicking on error; for constants in tests and examples.
@@ -74,16 +86,35 @@ func (n Net) Loss() *big.Rat { return ratutil.Copy(n.loss) }
 // given messages are sent: a distribution over delivery-pattern action
 // strings. With no messages it returns the single empty pattern. Patterns
 // of probability zero are omitted.
+//
+// The result depends only on len(msgs), so it is the Net's shared table
+// for that count: it is read-only, and neither the slice nor its
+// probabilities may be modified.
 func (n Net) Patterns(msgs []Msg) []protocol.Weighted[string] {
+	c, k := n.tables, len(msgs)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.byCount) <= k {
+		c.byCount = append(c.byCount, nil)
+	}
+	if c.byCount[k] == nil {
+		c.byCount[k] = n.buildPatterns(k)
+	}
+	return c.byCount[k]
+}
+
+// buildPatterns enumerates the delivery patterns of k messages, most
+// deliveries first.
+func (n Net) buildPatterns(k int) []protocol.Weighted[string] {
 	deliverPr := ratutil.OneMinus(n.loss)
 	var out []protocol.Weighted[string]
-	mask := make([]byte, len(msgs))
+	mask := make([]byte, k)
 	var rec func(i int, pr *big.Rat)
 	rec = func(i int, pr *big.Rat) {
 		if pr.Sign() == 0 {
 			return
 		}
-		if i == len(msgs) {
+		if i == k {
 			out = append(out, protocol.W(patternPrefix+string(mask), ratutil.Copy(pr)))
 			return
 		}

@@ -2,6 +2,7 @@ package msgnet
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"pak/internal/protocol"
@@ -162,5 +163,65 @@ func TestIsPatternAndString(t *testing.T) {
 	m := Msg{From: 0, To: 1, Payload: "hi"}
 	if got := m.String(); got != `0→1:"hi"` {
 		t.Errorf("Msg.String = %q", got)
+	}
+}
+
+// TestPatternsTableShared: the distribution depends only on the message
+// count, so a Net (and every copy of it) hands out one table per count,
+// equal to a fresh enumeration.
+func TestPatternsTableShared(t *testing.T) {
+	n := MustNew(ratutil.R(63, 127))
+	copied := n
+	first := n.Patterns(twoMsgs())
+	other := copied.Patterns([]Msg{{From: 1, To: 0, Payload: "x"}, {From: 0, To: 1, Payload: "y"}})
+	if &first[0] != &other[0] {
+		t.Error("two calls with two messages built two tables")
+	}
+	fresh := n.buildPatterns(2)
+	if len(first) != len(fresh) {
+		t.Fatalf("table has %d patterns, fresh enumeration %d", len(first), len(fresh))
+	}
+	for i := range fresh {
+		if first[i].Value != fresh[i].Value || !ratutil.Eq(first[i].Pr, fresh[i].Pr) {
+			t.Errorf("pattern %d = %s@%s, fresh %s@%s", i,
+				first[i].Value, first[i].Pr.RatString(), fresh[i].Value, fresh[i].Pr.RatString())
+		}
+	}
+	if three := n.Patterns(make([]Msg, 3)); len(three) != 8 {
+		t.Errorf("three messages: %d patterns, want 8", len(three))
+	}
+}
+
+// TestPatternsConcurrent: goroutines sharing one Net (as the sampler and
+// parallel unfolds share a model) race to build and read its tables;
+// run under -race, and every caller must see the same exact tables.
+func TestPatternsConcurrent(t *testing.T) {
+	n := MustNew(ratutil.R(1, 10))
+	const workers = 8
+	got := make([][][]protocol.Weighted[string], workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 6; k >= 0; k-- {
+				got[w] = append(got[w], n.Patterns(make([]Msg, (k+w)%7)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i, pats := range got[w] {
+			k := (6 - i + w) % 7
+			want := n.buildPatterns(k)
+			if len(pats) != len(want) {
+				t.Fatalf("worker %d, %d messages: %d patterns, want %d", w, k, len(pats), len(want))
+			}
+			for j := range want {
+				if pats[j].Value != want[j].Value || !ratutil.Eq(pats[j].Pr, want[j].Pr) {
+					t.Fatalf("worker %d, %d messages: pattern %d differs", w, k, j)
+				}
+			}
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -152,6 +153,13 @@ type Builder struct {
 	agents []string
 	nodes  []node
 	err    error
+
+	// Nodes are immutable once added, so equal values share one copy:
+	// prs holds the edge probabilities seen so far whose numerator and
+	// denominator fit an int64, and lastActs is the previous node's acts
+	// copy, which siblings of one joint action reuse.
+	prs      map[[2]int64]*big.Rat
+	lastActs []string
 }
 
 // NewBuilder returns a Builder for a system over the given agents. Agent
@@ -227,7 +235,10 @@ func (b *Builder) addChild(parent NodeID, s Step) NodeID {
 			b.fail(fmt.Errorf("%w: %d acts for %d agents", ErrArity, len(s.Acts), len(b.agents)))
 			return -1
 		}
-		acts = append([]string(nil), s.Acts...)
+		if !slices.Equal(s.Acts, b.lastActs) {
+			b.lastActs = append([]string(nil), s.Acts...)
+		}
+		acts = b.lastActs
 	} else if len(s.Acts) != 0 {
 		b.fail(fmt.Errorf("%w: initial states cannot record actions", ErrArity))
 		return -1
@@ -235,7 +246,7 @@ func (b *Builder) addChild(parent NodeID, s Step) NodeID {
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, node{
 		parent: parent,
-		pr:     ratutil.Copy(s.Pr),
+		pr:     b.sharedPr(s.Pr),
 		depth:  depth,
 		env:    s.Env,
 		locals: append([]string(nil), s.Locals...),
@@ -244,6 +255,26 @@ func (b *Builder) addChild(parent NodeID, s Step) NodeID {
 	})
 	b.nodes[parent].children = append(b.nodes[parent].children, id)
 	return id
+}
+
+// sharedPr returns an immutable copy of pr, shared with every earlier
+// node of equal probability when its numerator and denominator fit an
+// int64.
+func (b *Builder) sharedPr(pr *big.Rat) *big.Rat {
+	num, den := pr.Num(), pr.Denom()
+	if !num.IsInt64() || !den.IsInt64() {
+		return ratutil.Copy(pr)
+	}
+	key := [2]int64{num.Int64(), den.Int64()}
+	c, ok := b.prs[key]
+	if !ok {
+		if b.prs == nil {
+			b.prs = make(map[[2]int64]*big.Rat)
+		}
+		c = ratutil.Copy(pr)
+		b.prs[key] = c
+	}
+	return c
 }
 
 // Build validates the tree and returns the immutable System. The builder
@@ -261,11 +292,11 @@ func (b *Builder) Build() (*System, error) {
 		if len(n.children) == 0 {
 			continue
 		}
-		total := new(big.Rat)
-		for _, c := range n.children {
-			total.Add(total, b.nodes[c].pr)
-		}
-		if !ratutil.IsOne(total) {
+		if !ratutil.SumIsOne(len(n.children), func(i int) *big.Rat { return b.nodes[n.children[i]].pr }) {
+			total := new(big.Rat)
+			for _, c := range n.children {
+				total.Add(total, b.nodes[c].pr)
+			}
 			return nil, fmt.Errorf("%w: node %d sums to %s", ErrProbSum, id, total.RatString())
 		}
 	}
@@ -279,47 +310,73 @@ func (b *Builder) Build() (*System, error) {
 		sys.agentIdx[a] = AgentID(i)
 	}
 
-	// Enumerate runs by depth-first traversal (leftmost leaf first) and
-	// compute their probabilities.
-	var walk func(id NodeID, path []NodeID, pr *big.Rat)
-	walk = func(id NodeID, path []NodeID, pr *big.Rat) {
-		n := &sys.nodes[id]
-		path = append(path, id)
-		pr = ratutil.Mul(pr, n.pr)
+	// One depth-first traversal (leftmost leaf first) enumerates the runs,
+	// computes their probabilities and builds the local-state occurrence
+	// index. The first pass sizes it: a run per leaf, a point per node on
+	// its path.
+	nRuns, nPoints := 0, 0
+	for _, n := range sys.nodes[1:] {
 		if len(n.children) == 0 {
-			sys.runs = append(sys.runs, append([]NodeID(nil), path...))
-			sys.runPr = append(sys.runPr, pr)
-			if t := len(path) - 1; t > sys.maxTime {
-				sys.maxTime = t
+			nRuns++
+			nPoints += n.depth
+		}
+	}
+	sys.runs = make([][]NodeID, 0, nRuns)
+	sys.runPr = make([]*big.Rat, 0, nRuns)
+	sys.occ = make(map[localKey]occInfo)
+	points := make([]NodeID, 0, nPoints) // backs every run's path
+	var path []NodeID
+	var onPath []*runset.Set // occurrence sets of the path's locals, by depth then agent
+	// visit carries the cumulative product of the edge probabilities down
+	// the tree: each node pays at most one Mul, and an edge of probability
+	// 1 shares its parent's product (µ_T values are never modified). It
+	// checks synchrony — every local-state string at a single time — as it
+	// first meets each node; preorder is the order in which a run-by-run
+	// scan first meets them, so the first conflict reported is that scan's.
+	var visit func(id NodeID, pr *big.Rat) error
+	visit = func(id NodeID, pr *big.Rat) error {
+		n := &sys.nodes[id]
+		t := n.depth - 1
+		if !ratutil.IsOne(n.pr) {
+			pr = ratutil.Mul(pr, n.pr)
+		}
+		path = append(path, id)
+		for a, local := range n.locals {
+			key := localKey{AgentID(a), local}
+			info, seen := sys.occ[key]
+			if !seen {
+				info = occInfo{set: runset.New(nRuns), time: t}
+				sys.occ[key] = info
+			} else if info.time != t {
+				return fmt.Errorf("%w: agent %q state %q at times %d and %d",
+					ErrSynchrony, sys.agents[a], local, info.time, t)
 			}
-			return
+			onPath = append(onPath, info.set)
+		}
+		if len(n.children) == 0 {
+			r := len(sys.runs)
+			start := len(points)
+			points = append(points, path...)
+			sys.runs = append(sys.runs, points[start:len(points):len(points)])
+			sys.runPr = append(sys.runPr, pr)
+			sys.maxTime = max(sys.maxTime, t)
+			for _, set := range onPath {
+				set.Add(r)
+			}
 		}
 		for _, c := range n.children {
-			walk(c, path, pr)
-		}
-	}
-	for _, c := range sys.nodes[Root].children {
-		walk(c, nil, ratutil.One())
-	}
-
-	// Synchrony check and local-state occurrence index: every local-state
-	// string must appear at a single depth, and we record which runs it
-	// occurs in.
-	sys.occ = make(map[localKey]occInfo)
-	for r, path := range sys.runs {
-		for t, id := range path {
-			for a := range sys.agents {
-				key := localKey{AgentID(a), sys.nodes[id].locals[a]}
-				info, seen := sys.occ[key]
-				if !seen {
-					info = occInfo{set: runset.New(len(sys.runs)), time: t}
-				} else if info.time != t {
-					return nil, fmt.Errorf("%w: agent %q state %q at times %d and %d",
-						ErrSynchrony, sys.agents[a], key.local, info.time, t)
-				}
-				info.set.Add(r)
-				sys.occ[key] = info
+			if err := visit(c, pr); err != nil {
+				return err
 			}
+		}
+		path = path[:len(path)-1]
+		onPath = onPath[:len(onPath)-len(n.locals)]
+		return nil
+	}
+	one := ratutil.One()
+	for _, c := range sys.nodes[Root].children {
+		if err := visit(c, one); err != nil {
+			return nil, err
 		}
 	}
 	return sys, nil

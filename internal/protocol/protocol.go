@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 
 	"pak/internal/pps"
@@ -67,14 +68,16 @@ func ValidateDist[T any](dist []Weighted[T]) error {
 	if len(dist) == 0 {
 		return fmt.Errorf("%w: empty distribution", ErrBadDist)
 	}
-	total := new(big.Rat)
 	for _, w := range dist {
 		if w.Pr == nil || !ratutil.IsPositiveProb(w.Pr) {
 			return fmt.Errorf("%w: probability %v not in (0,1]", ErrBadDist, w.Pr)
 		}
-		total.Add(total, w.Pr)
 	}
-	if !ratutil.IsOne(total) {
+	if !ratutil.SumIsOne(len(dist), func(i int) *big.Rat { return dist[i].Pr }) {
+		total := new(big.Rat)
+		for _, w := range dist {
+			total.Add(total, w.Pr)
+		}
 		return fmt.Errorf("%w: probabilities sum to %s", ErrBadDist, total.RatString())
 	}
 	return nil
@@ -94,14 +97,19 @@ func (g Global) Clone() Global {
 
 // Model describes a synchronous joint protocol with bounded horizon.
 // Implementations must be deterministic functions of their arguments (all
-// randomness is expressed through the returned distributions).
+// randomness is expressed through the returned distributions). Returned
+// distributions are read-only for both sides: the caller never modifies
+// them, and an implementation may hand out the same slice (and the same
+// probabilities) on every call, as msgnet's shared pattern tables do.
 type Model interface {
 	// Agents returns the agent names, fixing the agent indexing.
 	Agents() []string
 	// Initials returns the distribution over initial global states.
 	Initials() []Weighted[Global]
 	// AgentStep returns agent i's mixed action at the given (unstamped)
-	// local state and time: the protocol function P_i(ℓ_i).
+	// local state and time: the protocol function P_i(ℓ_i). Because it
+	// is a function of its arguments, callers may memoise it by
+	// (agent, local, t); Unfold calls it once per distinct triple.
 	AgentStep(agent int, local string, t int) []Weighted[string]
 	// EnvStep returns the environment's mixed action at the global state,
 	// given the agents' chosen actions (e.g. which messages to deliver).
@@ -114,9 +122,9 @@ type Model interface {
 	Horizon() int
 }
 
-// Stamp prefixes a local state with its time, realizing the synchrony
-// assumption. Unfold applies it to every local state it stores.
-func Stamp(t int, local string) string { return fmt.Sprintf("t%d|%s", t, local) }
+// Stamp prefixes a local state with its time ("t2|..."), realizing the
+// synchrony assumption. Unfold applies it to every local state it stores.
+func Stamp(t int, local string) string { return "t" + strconv.Itoa(t) + "|" + local }
 
 // Unstamp strips the time prefix added by Stamp; it returns the input
 // unchanged if no prefix is present.
@@ -163,6 +171,7 @@ func UnfoldCtx(ctx context.Context, m Model) (*pps.System, error) {
 		return nil, fmt.Errorf("initial distribution: %w", err)
 	}
 
+	u := unfolder{m: m, agents: len(agents), locals: make([]string, len(agents))}
 	b := pps.NewBuilder(agents...)
 	type item struct {
 		id pps.NodeID
@@ -175,11 +184,13 @@ func UnfoldCtx(ctx context.Context, m Model) (*pps.System, error) {
 			return nil, fmt.Errorf("%w: initial state has %d locals for %d agents",
 				ErrBadModel, len(init.Value.Locals), len(agents))
 		}
-		id := b.Init(init.Pr, init.Value.Env, stampAll(0, init.Value.Locals)...)
+		id := b.Init(init.Pr, init.Value.Env, u.stampAll(0, init.Value.Locals)...)
 		queue = append(queue, item{id, init.Value.Clone(), 0})
 	}
 
 	nodes := len(queue)
+	dists := make([][]Weighted[string], len(agents))
+	var joints []jointChoice
 	for dequeued := 0; len(queue) > 0; dequeued++ {
 		if dequeued%unfoldCtxInterval == 0 {
 			if cause := context.Cause(ctx); cause != nil {
@@ -192,15 +203,15 @@ func UnfoldCtx(ctx context.Context, m Model) (*pps.System, error) {
 			continue // leaf
 		}
 		// Enumerate the agents' joint mixed action.
-		dists := make([][]Weighted[string], len(agents))
 		for a := range agents {
-			d := m.AgentStep(a, it.g.Locals[a], it.t)
-			if err := ValidateDist(d); err != nil {
+			d, err := u.agentStep(a, it.g.Locals[a], it.t)
+			if err != nil {
 				return nil, fmt.Errorf("agent %s at t=%d state %q: %w", agents[a], it.t, it.g.Locals[a], err)
 			}
 			dists[a] = d
 		}
-		for _, joint := range cartesian(dists) {
+		joints = cartesian(joints[:0], dists)
+		for _, joint := range joints {
 			envDist := m.EnvStep(it.g, joint.acts, it.t)
 			if err := ValidateDist(envDist); err != nil {
 				return nil, fmt.Errorf("environment at t=%d: %w", it.t, err)
@@ -214,12 +225,18 @@ func UnfoldCtx(ctx context.Context, m Model) (*pps.System, error) {
 					return nil, fmt.Errorf("%w: Next returned %d locals for %d agents",
 						ErrBadModel, len(next.Locals), len(agents))
 				}
+				// The builder copies the probability, so a joint action
+				// of probability 1 hands over the environment's own.
+				pr := env.Pr
+				if !ratutil.IsOne(joint.pr) {
+					pr = ratutil.Mul(joint.pr, env.Pr)
+				}
 				id := b.Child(it.id, pps.Step{
-					Pr:     ratutil.Mul(joint.pr, env.Pr),
+					Pr:     pr,
 					Acts:   joint.acts,
 					EnvAct: env.Value,
 					Env:    next.Env,
-					Locals: stampAll(it.t+1, next.Locals),
+					Locals: u.stampAll(it.t+1, next.Locals),
 				})
 				nodes++
 				if nodes > maxNodes {
@@ -236,6 +253,54 @@ func UnfoldCtx(ctx context.Context, m Model) (*pps.System, error) {
 	return sys, nil
 }
 
+// unfolder holds one unfold's memo tables. P_i is a function of the
+// local state, so each distinct (agent, t, local) is stepped and
+// validated once; each distinct (t, local) is stamped once, and every
+// node holding it shares the one string.
+type unfolder struct {
+	m       Model
+	agents  int
+	steps   []map[string][]Weighted[string] // by t·agents + agent, then local
+	stamped []map[string]string             // by t, then local
+	locals  []string                        // stampAll's scratch; the builder copies it
+}
+
+// memoAt returns the i-th map of tables, growing tables to reach it.
+func memoAt[V any](tables *[]map[string]V, i int) map[string]V {
+	for len(*tables) <= i {
+		*tables = append(*tables, make(map[string]V))
+	}
+	return (*tables)[i]
+}
+
+// agentStep returns the validated P_agent(local) at time t.
+func (u *unfolder) agentStep(agent int, local string, t int) ([]Weighted[string], error) {
+	steps := memoAt(&u.steps, t*u.agents+agent)
+	if d, ok := steps[local]; ok {
+		return d, nil
+	}
+	d := u.m.AgentStep(agent, local, t)
+	if err := ValidateDist(d); err != nil {
+		return nil, err
+	}
+	steps[local] = d
+	return d, nil
+}
+
+// stampAll stamps every local with time t into the shared scratch slice.
+func (u *unfolder) stampAll(t int, locals []string) []string {
+	stamped := memoAt(&u.stamped, t)
+	for i, l := range locals {
+		s, ok := stamped[l]
+		if !ok {
+			s = Stamp(t, l)
+			stamped[l] = s
+		}
+		u.locals[i] = s
+	}
+	return u.locals
+}
+
 // jointChoice is one element of the cartesian product of agent action
 // distributions.
 type jointChoice struct {
@@ -243,8 +308,20 @@ type jointChoice struct {
 	pr   *big.Rat
 }
 
-// cartesian enumerates the product of the per-agent distributions.
-func cartesian(dists [][]Weighted[string]) []jointChoice {
+// ratOne is the probability of a deterministic joint action. It is
+// shared and never modified.
+var ratOne = ratutil.One()
+
+// cartesian appends the product of the per-agent distributions to dst.
+// Every choice gets a fresh acts slice, since models see it.
+func cartesian(dst []jointChoice, dists [][]Weighted[string]) []jointChoice {
+	if allDeterministic(dists) {
+		acts := make([]string, len(dists))
+		for a, dist := range dists {
+			acts[a] = dist[0].Value
+		}
+		return append(dst, jointChoice{acts: acts, pr: ratOne})
+	}
 	out := []jointChoice{{acts: nil, pr: ratutil.One()}}
 	for _, dist := range dists {
 		next := make([]jointChoice, 0, len(out)*len(dist))
@@ -258,15 +335,18 @@ func cartesian(dists [][]Weighted[string]) []jointChoice {
 		}
 		out = next
 	}
-	return out
+	return append(dst, out...)
 }
 
-func stampAll(t int, locals []string) []string {
-	out := make([]string, len(locals))
-	for i, l := range locals {
-		out[i] = Stamp(t, l)
+// allDeterministic reports whether every distribution has a single
+// outcome; a validated one then has probability exactly 1.
+func allDeterministic(dists [][]Weighted[string]) bool {
+	for _, dist := range dists {
+		if len(dist) != 1 {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // FuncModel adapts plain functions into a Model, for lightweight protocol

@@ -232,6 +232,9 @@ func TestValidateDist(t *testing.T) {
 		{"zero pr", Mix(W("a", ratutil.Zero()), W("b", ratutil.One())), true},
 		{"sum below 1", Mix(W("a", ratutil.R(1, 3))), true},
 		{"sum above 1", Mix(W("a", ratutil.R(2, 3)), W("b", ratutil.R(2, 3))), true},
+		{"shared denominator ok", Mix(W("a", ratutil.R(1, 4)), W("b", ratutil.R(3, 4))), false},
+		{"mixed denominators ok", Mix(W("a", ratutil.R(1, 2)), W("b", ratutil.R(1, 3)), W("c", ratutil.R(1, 6))), false},
+		{"mixed denominators below 1", Mix(W("a", ratutil.R(1, 2)), W("b", ratutil.R(1, 3))), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -255,6 +258,8 @@ func TestStampUnstamp(t *testing.T) {
 		{12, "go=1,recv=Yes"},
 		{3, ""},
 		{1, "with|pipe"},
+		{-3, "negative"},
+		{100, "three digits"},
 	}
 	for _, tt := range tests {
 		stamped := Stamp(tt.t, tt.local)
@@ -286,7 +291,7 @@ func TestCartesianSizes(t *testing.T) {
 		Det("x"),
 		Mix(W("1", ratutil.R(1, 3)), W("2", ratutil.R(1, 3)), W("3", ratutil.R(1, 3))),
 	}
-	combos := cartesian(dists)
+	combos := cartesian(nil, dists)
 	if len(combos) != 6 {
 		t.Fatalf("cartesian size = %d, want 6", len(combos))
 	}
@@ -299,5 +304,25 @@ func TestCartesianSizes(t *testing.T) {
 	}
 	if !ratutil.IsOne(total) {
 		t.Fatalf("total probability = %v", total)
+	}
+}
+
+// TestCartesianDeterministic: when every agent's action is determined,
+// the product is one choice of probability 1 appended to dst, with a
+// fresh acts slice.
+func TestCartesianDeterministic(t *testing.T) {
+	dst := cartesian(nil, [][]Weighted[string]{Mix(W("a", ratutil.R(1, 2)), W("b", ratutil.R(1, 2)))})
+	dists := [][]Weighted[string]{Det("x"), Det("y"), Det("z")}
+	combos := cartesian(dst, dists)
+	if len(combos) != 3 {
+		t.Fatalf("cartesian appended %d choices, want 1", len(combos)-2)
+	}
+	got := combos[2]
+	if !ratutil.IsOne(got.pr) || fmt.Sprint(got.acts) != "[x y z]" {
+		t.Fatalf("deterministic choice = %v @ %v", got.acts, got.pr)
+	}
+	again := cartesian(nil, dists)
+	if &again[0].acts[0] == &got.acts[0] {
+		t.Error("two deterministic products share an acts slice")
 	}
 }

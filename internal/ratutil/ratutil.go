@@ -125,15 +125,65 @@ func Geq(x, y *big.Rat) bool { return x.Cmp(y) >= 0 }
 // IsZero reports x == 0.
 func IsZero(x *big.Rat) bool { return x.Sign() == 0 }
 
-// IsOne reports x == 1.
-func IsOne(x *big.Rat) bool { return x.Cmp(One()) == 0 }
+// bigOne is the integer 1, shared read-only by cmpOne.
+var bigOne = big.NewInt(1)
 
-// IsProb reports 0 <= x <= 1, i.e. x is a valid probability.
-func IsProb(x *big.Rat) bool { return x.Sign() >= 0 && Leq(x, One()) }
+// cmpOne returns the sign of x − 1 without allocating: an integer is
+// compared with 1 directly, and a normalized non-integer a/b (b > 1) is
+// below 1 exactly when a < b. Denom never allocates here because a
+// non-integer always has an initialized denominator.
+func cmpOne(x *big.Rat) int {
+	if x.IsInt() {
+		return x.Num().Cmp(bigOne)
+	}
+	return x.Num().Cmp(x.Denom())
+}
+
+// IsOne reports x == 1. It does not allocate.
+func IsOne(x *big.Rat) bool { return cmpOne(x) == 0 }
+
+// IsProb reports 0 <= x <= 1, i.e. x is a valid probability. It does not
+// allocate.
+func IsProb(x *big.Rat) bool { return x.Sign() >= 0 && cmpOne(x) <= 0 }
 
 // IsPositiveProb reports 0 < x <= 1. Transition probabilities in a pps are
-// required to lie in the half-open interval (0, 1].
-func IsPositiveProb(x *big.Rat) bool { return x.Sign() > 0 && Leq(x, One()) }
+// required to lie in the half-open interval (0, 1]. It does not allocate.
+func IsPositiveProb(x *big.Rat) bool { return x.Sign() > 0 && cmpOne(x) <= 0 }
+
+// SumIsOne reports whether at(0) + … + at(n−1) is exactly 1, allocating
+// nothing for a single term. When every term is a non-integer over one
+// shared denominator d — as the products of a fixed per-message loss
+// are — it compares the integer sum of the numerators with d, skipping
+// the normalizing gcd of each Rat.Add; otherwise it falls back to a
+// rational sum.
+func SumIsOne(n int, at func(i int) *big.Rat) bool {
+	switch n {
+	case 0:
+		return false
+	case 1:
+		return IsOne(at(0))
+	}
+	if first := at(0); !first.IsInt() {
+		den := first.Denom()
+		var num big.Int
+		i := 0
+		for ; i < n; i++ {
+			x := at(i)
+			if x.IsInt() || x.Denom().Cmp(den) != 0 {
+				break
+			}
+			num.Add(&num, x.Num())
+		}
+		if i == n {
+			return num.Cmp(den) == 0
+		}
+	}
+	var total big.Rat
+	for i := 0; i < n; i++ {
+		total.Add(&total, at(i))
+	}
+	return IsOne(&total)
+}
 
 // Min returns a copy of the smaller of x and y.
 func Min(x, y *big.Rat) *big.Rat {

@@ -240,3 +240,106 @@ func TestQuickOneMinusInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// predicateCases are the edge values every predicate property below
+// covers on top of its random draws: zero (also as an uninitialized
+// Rat), one, values just either side of one, negatives, large integers
+// and a value whose numerator and denominator exceed one machine word.
+func predicateCases() []*big.Rat {
+	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10)
+	return []*big.Rat{
+		new(big.Rat), Zero(), One(), R(2, 2), R(1, 2), R(3, 2), R(-1, 2), R(-1, 1),
+		R(126, 127), R(128, 127), Int(2), Int(1 << 62),
+		new(big.Rat).SetFrac(huge, new(big.Int).Add(huge, big.NewInt(1))),
+		new(big.Rat).SetFrac(new(big.Int).Add(huge, big.NewInt(1)), huge),
+		new(big.Rat).SetFrac(huge, huge),
+	}
+}
+
+// Property: the allocation-free predicates agree with their Cmp(One())
+// definitions on random rationals (below, at and above one) and on the
+// edge values.
+func TestQuickPredicatesMatchCmpOne(t *testing.T) {
+	agree := func(x *big.Rat) bool {
+		c := x.Cmp(big.NewRat(1, 1))
+		return IsOne(x) == (c == 0) &&
+			IsProb(x) == (x.Sign() >= 0 && c <= 0) &&
+			IsPositiveProb(x) == (x.Sign() > 0 && c <= 0)
+	}
+	for _, x := range predicateCases() {
+		if !agree(x) {
+			t.Errorf("predicates disagree with Cmp(One()) at %v", x)
+		}
+	}
+	f := func(n, d int64) bool {
+		if d == 0 {
+			return true
+		}
+		return agree(big.NewRat(n, d)) && agree(big.NewRat(n%1000, d%1000+1001))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPredicatesDoNotAllocate pins IsOne, IsProb and IsPositiveProb at
+// zero allocations: the unfold and the pps builder call them on every
+// distribution entry and every edge.
+func TestPredicatesDoNotAllocate(t *testing.T) {
+	preds := map[string]func(*big.Rat) bool{
+		"IsOne": IsOne, "IsProb": IsProb, "IsPositiveProb": IsPositiveProb,
+	}
+	cases := predicateCases()
+	for name, pred := range preds {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, x := range cases {
+				pred(x)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f times per sweep of the edge values, want 0", name, allocs)
+		}
+	}
+}
+
+// Property: SumIsOne agrees with an exact rational sum, on its shared-
+// denominator path (sevenths, 127ths), on the mixed-denominator and
+// integer fallbacks, and on a single term.
+func TestSumIsOneMatchesRationalSum(t *testing.T) {
+	sums := [][]*big.Rat{
+		{R(3, 7), R(4, 7)}, {R(3, 7), R(3, 7)}, {R(64, 127), R(63, 127)},
+		{R(1, 2), R(1, 3), R(1, 6)}, {R(1, 2), R(1, 3)}, {One()}, {R(1, 2)},
+		{Zero(), One()}, {One(), Zero()}, {R(3, 2), R(-1, 2)}, {R(1, 4), R(3, 4), Zero()}, nil,
+	}
+	check := func(xs []*big.Rat) bool {
+		return SumIsOne(len(xs), func(i int) *big.Rat { return xs[i] }) == (len(xs) > 0 && IsOne(Sum(xs...)))
+	}
+	for _, xs := range sums {
+		if !check(xs) {
+			t.Errorf("SumIsOne%v disagrees with the rational sum %v", xs, Sum(xs...))
+		}
+	}
+	// Random splits of 1 into k parts over a shared denominator, nudged
+	// off by one unit half the time.
+	f := func(d uint16, cuts [4]uint16, nudge bool) bool {
+		den := int64(d%500) + 2
+		left := den
+		var xs []*big.Rat
+		for _, c := range cuts {
+			part := int64(c)%left + 1
+			if part >= left {
+				break
+			}
+			xs = append(xs, R(part, den))
+			left -= part
+		}
+		if nudge {
+			left++
+		}
+		xs = append(xs, R(left, den))
+		return check(xs)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

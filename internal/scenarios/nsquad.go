@@ -3,6 +3,7 @@ package scenarios
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 
 	"pak/internal/logic"
@@ -104,6 +105,7 @@ func (m nSquadModel) msgsAt(acts []string, t int) []msgnet.Msg {
 	switch t {
 	case 0:
 		if acts[0] == "broadcast" {
+			msgs = make([]msgnet.Msg, 0, 2*(m.n-1))
 			for i := 1; i < m.n; i++ {
 				msgs = append(msgs,
 					msgnet.Msg{From: 0, To: i, Payload: "wake"},
@@ -111,6 +113,7 @@ func (m nSquadModel) msgsAt(acts []string, t int) []msgnet.Msg {
 			}
 		}
 	case 1:
+		msgs = make([]msgnet.Msg, 0, m.n-1)
 		for i := 1; i < m.n; i++ {
 			switch acts[i] {
 			case "sendYes":
@@ -161,20 +164,24 @@ func (m nSquadModel) EnvStep(g protocol.Global, acts []string, t int) []protocol
 	return m.net.Patterns(m.msgsAt(acts, t))
 }
 
+// Next reads the delivery pattern message by message: the messages of
+// each round are grouped by recipient in agent order, so this is the
+// order in which per-recipient inboxes would read them.
 func (m nSquadModel) Next(g protocol.Global, acts []string, envAct string, t int) (protocol.Global, error) {
 	msgs := m.msgsAt(acts, t)
 	next := g.Clone()
 	switch t {
 	case 0:
 		for i := 1; i < m.n; i++ {
-			inbox, err := msgnet.Inbox(msgs, envAct, i)
+			next.Locals[i] = "asleep"
+		}
+		for k, msg := range msgs {
+			ok, err := msgnet.Delivered(envAct, k)
 			if err != nil {
 				return protocol.Global{}, err
 			}
-			if len(inbox) > 0 {
-				next.Locals[i] = "woken"
-			} else {
-				next.Locals[i] = "asleep"
+			if ok {
+				next.Locals[msg.To] = "woken"
 			}
 		}
 		if acts[0] == "broadcast" {
@@ -182,15 +189,17 @@ func (m nSquadModel) Next(g protocol.Global, acts []string, envAct string, t int
 		}
 		next.Env = "round1"
 	case 1:
-		inbox, err := msgnet.Inbox(msgs, envAct, 0)
-		if err != nil {
-			return protocol.Global{}, err
-		}
 		yes, no := 0, 0
-		for _, payload := range inbox {
-			if payload == "Yes" {
+		for k, msg := range msgs {
+			ok, err := msgnet.Delivered(envAct, k)
+			if err != nil {
+				return protocol.Global{}, err
+			}
+			switch {
+			case !ok:
+			case msg.Payload == "Yes":
 				yes++
-			} else {
+			default:
 				no++
 			}
 		}
@@ -198,8 +207,8 @@ func (m nSquadModel) Next(g protocol.Global, acts []string, envAct string, t int
 		if no > 0 {
 			noFlag = "y"
 		}
-		next.Locals[0] = fmt.Sprintf("%s,yes=%d,no=%s,silent=%d",
-			g.Locals[0], yes, noFlag, m.n-1-len(inbox))
+		next.Locals[0] = g.Locals[0] + ",yes=" + strconv.Itoa(yes) + ",no=" + noFlag +
+			",silent=" + strconv.Itoa(m.n-1-yes-no)
 		for i := 1; i < m.n; i++ {
 			next.Locals[i] = g.Locals[i] + ",acked"
 		}

@@ -52,7 +52,8 @@ type (
 func NewNet(loss *big.Rat) (Net, error) { return msgnet.New(loss) }
 
 // DeliveryPatterns returns the environment's mixed action for a round in
-// which msgs are sent: a distribution over delivery-pattern strings.
+// which msgs are sent: a distribution over delivery-pattern strings. The
+// result is the network's shared table for len(msgs) and is read-only.
 func DeliveryPatterns(n Net, msgs []Msg) []WeightedAction { return n.Patterns(msgs) }
 
 // Inbox returns the payloads delivered to an agent under a pattern.
