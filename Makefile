@@ -50,12 +50,13 @@ bench-service:
 # incremental independence scan cold vs seeded, and the exact-arithmetic
 # measure kernel vs the naive big.Rat fold (both tiers, both shapes),
 # and the unfold alone (nsquad n=2..4), the layer every cold assignment
-# pays before its engine exists.
+# pays before its engine exists, and a believes fact at a fresh level on
+# a warm nsquad(4) engine (the engine-bound epistemic scan).
 # Baseline numbers are recorded in BENCHMARKS.md; re-run this target
 # after touching the engine's memo tables, the shape gate, the kernel or
 # the unfold.
 bench-sweep:
-	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold' -benchmem .
+	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold|BeliefFlood' -benchmem .
 
 # Bench-compile smoke: run every benchmark in every package exactly once,
 # so CI catches a benchmark that no longer compiles or dies on its first

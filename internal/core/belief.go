@@ -37,64 +37,81 @@ func (e *Engine) FactAtLocalCtx(ctx context.Context, f logic.Fact, agent, local 
 	if err != nil {
 		return nil, err
 	}
-	ev, err := e.factAtLocal(ctx, f, a, agent, local)
+	ev, err := e.localExt(ctx, refOf(f), a, local)
 	if err != nil {
 		return nil, err
 	}
 	return ev.Clone(), nil
 }
 
-// factAtLocal is FactAtLocalCtx without the defensive clone; the
-// returned set may be the shared cache entry and must not be mutated.
-func (e *Engine) factAtLocal(ctx context.Context, f logic.Fact, a pps.AgentID, agent, local string) (*runset.Set, error) {
+// localExt is FactAtLocalCtx for a prepared fact, without the defensive
+// clone; the returned set may be the shared cache entry and must not be
+// mutated.
+func (e *Engine) localExt(ctx context.Context, ref factRef, a pps.AgentID, local string) (*runset.Set, error) {
 	compute := func() (*runset.Set, error) {
 		occ, tm, ok := e.sys.OccursShared(a, local)
 		if !ok {
-			return nil, fmt.Errorf("%w: agent %q state %q", ErrUnknownLocal, agent, local)
+			return nil, fmt.Errorf("%w: agent %q state %q", ErrUnknownLocal, e.sys.AgentName(a), local)
 		}
-		ev := e.sys.NewSet()
-		n := 0
-		var cause error
-		occ.ForEach(func(r int) bool {
-			if n%indepCtxInterval == indepCtxInterval-1 {
-				if cause = context.Cause(ctx); cause != nil {
-					return false
-				}
-			}
-			n++
-			if f.Holds(e.sys, pps.RunID(r), tm) {
-				ev.Add(r)
-			}
-			return true
-		})
-		if cause != nil {
-			return nil, fmt.Errorf("core: φ@ℓ scan aborted after %d runs: %w", n, cause)
-		}
-		return ev, nil
+		return e.scan(ctx, ref, occ, func(int) int { return tm }, "φ@ℓ")
 	}
-	fk, cacheable := factKey(f)
-	if !cacheable {
+	if !ref.cacheable {
 		return compute()
 	}
-	return e.events.getCtx(ctx, eventKey{fact: fk, agent: a, kind: eventAtLocal, at: local}, compute)
+	return e.extensions(ref).getCtx(ctx, eventKey{fact: ref.key, agent: a, kind: eventAtLocal, at: local}, compute)
 }
 
-// Belief returns β_i(φ) at local state ℓ: µ_T(φ@ℓ | ℓ) (Definition 3.1).
-// The belief is a property of the local state alone — it is the same at
-// every point where the agent is in state ℓ.
-func (e *Engine) Belief(f logic.Fact, agent, local string) (*big.Rat, error) {
-	a, err := e.agent(agent)
-	if err != nil {
-		return nil, err
+// scan is the fact-extension scan: the runs r of over at which the fact
+// holds at time at(r). It binds the fact's epistemic nodes first (see
+// bind.go), checks ctx every indepCtxInterval runs, and aborts with the
+// context's cause, or with the first error a nested scan hit.
+func (e *Engine) scan(ctx context.Context, ref factRef, over *runset.Set, at func(r int) int, what string) (*runset.Set, error) {
+	f, b := e.scanFact(ctx, ref)
+	ev := e.sys.NewSet()
+	n := 0
+	var cause error
+	over.ForEach(func(r int) bool {
+		if n%indepCtxInterval == indepCtxInterval-1 {
+			if cause = abortCause(ctx); cause != nil {
+				return false
+			}
+		}
+		n++
+		if f.Holds(e.sys, pps.RunID(r), at(r)) {
+			ev.Add(r)
+		}
+		return b == nil || b.err == nil
+	})
+	if b != nil && b.err != nil {
+		return nil, b.err
 	}
+	if cause != nil {
+		return nil, fmt.Errorf("core: %s scan aborted after %d runs: %w", what, n, cause)
+	}
+	return ev, nil
+}
+
+// extensions is the table holding ref's extensions: the shared,
+// label-pure events table, or the per-engine mevents table when the
+// fact contains believes and so depends on µ_T.
+func (e *Engine) extensions(ref factRef) *memo[eventKey, *runset.Set] {
+	if ref.measured {
+		return e.mevents
+	}
+	return e.events
+}
+
+// belief is β_i(φ) at ℓ for a prepared fact: the memoized µ_T(φ@ℓ | ℓ),
+// shared with the cache and not to be mutated.
+func (e *Engine) belief(ctx context.Context, ref factRef, a pps.AgentID, local string) (*big.Rat, error) {
 	compute := func() (*big.Rat, error) {
 		occ, _, ok := e.sys.OccursShared(a, local)
 		if !ok {
-			return nil, fmt.Errorf("%w: agent %q state %q", ErrUnknownLocal, agent, local)
+			return nil, fmt.Errorf("%w: agent %q state %q", ErrUnknownLocal, e.sys.AgentName(a), local)
 		}
-		ev, evErr := e.factAtLocal(context.Background(), f, a, agent, local)
-		if evErr != nil {
-			return nil, evErr
+		ev, err := e.localExt(ctx, ref, a, local)
+		if err != nil {
+			return nil, err
 		}
 		// Fused kernel conditional: φ@ℓ ∩ ℓ is never materialized.
 		cond, condOK := e.sys.Cond(ev, occ)
@@ -105,12 +122,21 @@ func (e *Engine) Belief(f logic.Fact, agent, local string) (*big.Rat, error) {
 		}
 		return cond, nil
 	}
-	var bel *big.Rat
-	if fk, cacheable := factKey(f); cacheable {
-		bel, err = e.beliefs.get(beliefKey{fact: fk, agent: a, local: local}, compute)
-	} else {
-		bel, err = compute()
+	if !ref.cacheable {
+		return compute()
 	}
+	return e.beliefs.getCtx(ctx, beliefKey{fact: ref.key, agent: a, local: local}, compute)
+}
+
+// Belief returns β_i(φ) at local state ℓ: µ_T(φ@ℓ | ℓ) (Definition 3.1).
+// The belief is a property of the local state alone — it is the same at
+// every point where the agent is in state ℓ.
+func (e *Engine) Belief(f logic.Fact, agent, local string) (*big.Rat, error) {
+	a, err := e.agent(agent)
+	if err != nil {
+		return nil, err
+	}
+	bel, err := e.belief(context.Background(), refOf(f), a, local)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +186,7 @@ func (e *Engine) KnowsCtx(ctx context.Context, f logic.Fact, agent string, r pps
 		// Unreachable: the point (r, t) exhibits the state.
 		return false, fmt.Errorf("%w: agent %q state %q", ErrUnknownLocal, agent, local)
 	}
-	ev, err := e.factAtLocal(ctx, f, a, agent, local)
+	ev, err := e.localExt(ctx, refOf(f), a, local)
 	if err != nil {
 		return false, err
 	}
@@ -178,56 +204,38 @@ func (e *Engine) FactAtAction(f logic.Fact, agent, action string) (*runset.Set, 
 // every-indepCtxInterval-runs cancellation discipline (and the same
 // no-memoized-aborts guarantee) as FactAtLocalCtx.
 func (e *Engine) FactAtActionCtx(ctx context.Context, f logic.Fact, agent, action string) (*runset.Set, error) {
-	ev, err := e.factAtAction(ctx, f, agent, action)
+	a, info, err := e.properFor(agent, action)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := e.actionExt(ctx, refOf(f), a, info, action)
 	if err != nil {
 		return nil, err
 	}
 	return ev.Clone(), nil
 }
 
-// factAtAction is FactAtActionCtx without the defensive clone; the
-// returned set may be the shared cache entry and must not be mutated.
-func (e *Engine) factAtAction(ctx context.Context, f logic.Fact, agent, action string) (*runset.Set, error) {
-	a, info, err := e.properFor(agent, action)
-	if err != nil {
-		return nil, err
-	}
+// actionExt is FactAtActionCtx for a prepared fact and a resolved
+// proper action, without the defensive clone; the returned set may be
+// the shared cache entry and must not be mutated.
+func (e *Engine) actionExt(ctx context.Context, ref factRef, a pps.AgentID, info *perfInfo, action string) (*runset.Set, error) {
 	compute := func() (*runset.Set, error) {
-		ev := e.sys.NewSet()
-		n := 0
-		var cause error
-		info.set.ForEach(func(r int) bool {
-			if n%indepCtxInterval == indepCtxInterval-1 {
-				if cause = context.Cause(ctx); cause != nil {
-					return false
-				}
-			}
-			n++
-			if f.Holds(e.sys, pps.RunID(r), info.times[r]) {
-				ev.Add(r)
-			}
-			return true
-		})
-		if cause != nil {
-			return nil, fmt.Errorf("core: φ@α scan aborted after %d runs: %w", n, cause)
-		}
-		return ev, nil
+		return e.scan(ctx, ref, info.set, func(r int) int { return info.times[r] }, "φ@α")
 	}
-	fk, cacheable := factKey(f)
-	if !cacheable {
+	if !ref.cacheable {
 		return compute()
 	}
-	return e.events.getCtx(ctx, eventKey{fact: fk, agent: a, kind: eventAtAction, at: action}, compute)
+	return e.extensions(ref).getCtx(ctx, eventKey{fact: ref.key, agent: a, kind: eventAtAction, at: action}, compute)
 }
 
 // ConstraintProb returns µ_T(φ@α | α), the left-hand side of a
 // probabilistic constraint µ_T(φ@α | α) ≥ p (Definition 3.2).
 func (e *Engine) ConstraintProb(f logic.Fact, agent, action string) (*big.Rat, error) {
-	_, info, err := e.properFor(agent, action)
+	a, info, err := e.properFor(agent, action)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := e.factAtAction(context.Background(), f, agent, action)
+	ev, err := e.actionExt(context.Background(), refOf(f), a, info, action)
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +256,10 @@ func (e *Engine) BeliefAtAction(f logic.Fact, agent, action string) ([]*big.Rat,
 		return nil, err
 	}
 	// β depends only on the local state, so compute once per ℓ ∈ L_i[α].
+	ref := refOf(f)
 	byLocal := make(map[string]*big.Rat, len(info.locals))
 	for _, local := range info.locals {
-		bel, belErr := e.Belief(f, agent, local)
+		bel, belErr := e.belief(context.Background(), ref, a, local)
 		if belErr != nil {
 			return nil, belErr
 		}
@@ -276,17 +285,18 @@ func (e *Engine) BeliefAtAction(f logic.Fact, agent, action string) ([]*big.Rat,
 // multiply-add per run. Exactness makes the regrouping invisible: the
 // sum is the same rational either way.
 func (e *Engine) ExpectedBelief(f logic.Fact, agent, action string) (*big.Rat, error) {
-	_, info, err := e.properFor(agent, action)
+	a, info, err := e.properFor(agent, action)
 	if err != nil {
 		return nil, err
 	}
-	total := new(big.Rat)
+	ref := refOf(f)
+	total, term := new(big.Rat), new(big.Rat)
 	for _, local := range info.locals {
-		bel, belErr := e.Belief(f, agent, local)
+		bel, belErr := e.belief(context.Background(), ref, a, local)
 		if belErr != nil {
 			return nil, belErr
 		}
-		total.Add(total, bel.Mul(bel, e.sys.Measure(info.atLocal[local])))
+		total.Add(total, term.Mul(bel, e.sys.Measure(info.atLocal[local])))
 	}
 	mAlpha := e.sys.Measure(info.set)
 	return total.Quo(total, mAlpha), nil
@@ -297,13 +307,14 @@ func (e *Engine) ExpectedBelief(f logic.Fact, agent, action string) (*big.Rat, e
 // state, so the event is the union of the α@ℓ cells whose belief meets
 // the threshold — one comparison per acting state, not per run.
 func (e *Engine) BeliefThresholdEvent(f logic.Fact, agent, action string, p *big.Rat) (*runset.Set, error) {
-	_, info, err := e.properFor(agent, action)
+	a, info, err := e.properFor(agent, action)
 	if err != nil {
 		return nil, err
 	}
+	ref := refOf(f)
 	ev := e.sys.NewSet()
 	for _, local := range info.locals {
-		bel, belErr := e.Belief(f, agent, local)
+		bel, belErr := e.belief(context.Background(), ref, a, local)
 		if belErr != nil {
 			return nil, belErr
 		}
@@ -336,12 +347,13 @@ func (e *Engine) ThresholdMeasure(f logic.Fact, agent, action string, p *big.Rat
 // BeliefRangeAtAction returns the minimum and maximum of β_i(φ) over the
 // points at which agent performs the proper action α.
 func (e *Engine) BeliefRangeAtAction(f logic.Fact, agent, action string) (min, max *big.Rat, err error) {
-	_, info, err := e.properFor(agent, action)
+	a, info, err := e.properFor(agent, action)
 	if err != nil {
 		return nil, nil, err
 	}
+	ref := refOf(f)
 	for _, local := range info.locals {
-		bel, belErr := e.Belief(f, agent, local)
+		bel, belErr := e.belief(context.Background(), ref, a, local)
 		if belErr != nil {
 			return nil, nil, belErr
 		}
@@ -360,17 +372,18 @@ func (e *Engine) BeliefRangeAtAction(f logic.Fact, agent, action string) (min, m
 // acting" view used throughout the paper's examples (e.g. Alice's three
 // states {Yes, No, silence} in Example 1).
 func (e *Engine) BeliefByActionState(f logic.Fact, agent, action string) (map[string]*big.Rat, error) {
-	_, info, err := e.properFor(agent, action)
+	a, info, err := e.properFor(agent, action)
 	if err != nil {
 		return nil, err
 	}
+	ref := refOf(f)
 	out := make(map[string]*big.Rat, len(info.locals))
 	for _, local := range info.locals {
-		bel, belErr := e.Belief(f, agent, local)
+		bel, belErr := e.belief(context.Background(), ref, a, local)
 		if belErr != nil {
 			return nil, belErr
 		}
-		out[local] = bel
+		out[local] = ratutil.Copy(bel)
 	}
 	return out, nil
 }

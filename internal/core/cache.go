@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -96,6 +97,21 @@ func (c *memo[K, V]) getCtx(ctx context.Context, key K, compute func() (V, error
 // maps to 504s. Exported so every layer shares one classifier.
 func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// abortCause is what a scan cut by ctx reports (nil while ctx is live):
+// the context's cause, joined with ctx.Err() when the cause is the
+// canceller's own error, so that every abort satisfies IsContextErr and
+// the memo never keeps one.
+func abortCause(ctx context.Context) error {
+	cause := context.Cause(ctx)
+	if cause == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil && !IsContextErr(cause) {
+		return fmt.Errorf("%w (%w)", cause, err)
+	}
+	return cause
 }
 
 // len reports the number of cached entries (for tests and stats).

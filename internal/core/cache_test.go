@@ -132,15 +132,14 @@ func TestFactKeyUnambiguous(t *testing.T) {
 	if f1.String() != f2.String() {
 		t.Skipf("display strings no longer collide (%q vs %q); key test moot", f1, f2)
 	}
-	k1, ok1 := factKey(f1)
-	k2, ok2 := factKey(f2)
-	if !ok1 || !ok2 {
-		t.Fatalf("structural facts must be cacheable (ok1=%v ok2=%v)", ok1, ok2)
+	r1, r2 := refOf(f1), refOf(f2)
+	if !r1.cacheable || !r2.cacheable {
+		t.Fatalf("structural facts must be cacheable (ok1=%v ok2=%v)", r1.cacheable, r2.cacheable)
 	}
-	if k1 == k2 {
-		t.Errorf("distinct facts share cache key %q", k1)
+	if r1.key == r2.key {
+		t.Errorf("distinct facts share cache key %q", r1.key)
 	}
-	if _, ok := factKey(logic.Atom("p", func(*pps.System, pps.RunID, int) bool { return true })); ok {
+	if refOf(logic.Atom("p", func(*pps.System, pps.RunID, int) bool { return true })).cacheable {
 		t.Error("opaque Atom reported cacheable")
 	}
 }

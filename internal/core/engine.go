@@ -19,7 +19,6 @@ import (
 	"math/big"
 	"sort"
 
-	"pak/internal/logic"
 	"pak/internal/pps"
 	"pak/internal/runset"
 )
@@ -83,9 +82,11 @@ const (
 
 // eventKey identifies a cached fact extension. Facts are keyed by the
 // unambiguous rendering of their structural spec (logic.FactSpec.Key),
-// under which distinct facts never render equal. Facts containing
-// opaque predicates (logic.Atom, LocalPred, EnvPred) have no structural
-// spec and are never cached (see factKey).
+// under which distinct facts never render equal (display strings can:
+// does_a(b(c) is both Does("a(b","c") and Does("a","b(c")). Facts
+// containing opaque predicates (logic.Atom, LocalPred, EnvPred) have no
+// structural spec, and a display name need not identify the closure, so
+// they are never cached (see refOf).
 type eventKey struct {
 	fact  string
 	agent pps.AgentID
@@ -104,7 +105,8 @@ type beliefKey struct {
 // safe for concurrent use, and it memoizes shared work behind
 // singleflight-style caches: the per-(agent, action) performance index,
 // the fact extensions φ@ℓ and φ@α, and the beliefs β_i(φ) at each local
-// state. Concurrent batches (see internal/query.EvalBatch) therefore
+// state. Epistemic subfacts of a scanned fact read the same caches (see
+// bind.go). Concurrent batches (see internal/query.EvalBatch) therefore
 // share work instead of recomputing it, and distinct cache keys are
 // computed in parallel rather than serialized behind one lock.
 type Engine struct {
@@ -113,10 +115,12 @@ type Engine struct {
 	// The memo tables are held by pointer so that engines over
 	// SameShape-equal systems can share the measure-independent ones
 	// live (see NewSeeded): perf and events are pure functions of the
-	// label shape, while beliefs and indeps depend on µ_T and are always
+	// label shape, while mevents (the extensions of facts containing
+	// believes), beliefs and indeps depend on µ_T and are always
 	// per-engine.
 	perf    *memo[actKey, *perfInfo]
 	events  *memo[eventKey, *runset.Set]
+	mevents *memo[eventKey, *runset.Set]
 	beliefs *memo[beliefKey, *big.Rat]
 	indeps  *memo[eventKey, IndependenceReport]
 }
@@ -127,6 +131,7 @@ func New(sys *pps.System) *Engine {
 		sys:     sys,
 		perf:    &memo[actKey, *perfInfo]{},
 		events:  &memo[eventKey, *runset.Set]{},
+		mevents: &memo[eventKey, *runset.Set]{},
 		beliefs: &memo[beliefKey, *big.Rat]{},
 		indeps:  &memo[eventKey, IndependenceReport]{},
 	}
@@ -138,17 +143,21 @@ func New(sys *pps.System) *Engine {
 // adversary weights.
 //
 // The soundness line, precisely: an entry of the perf table (where an
-// action is performed, and at which local states) and of the events
-// table (the fact-extension sets φ@ℓ and φ@α) is a pure function of the
-// system's LABELS — the per-(run, time) env/locals/acts/envAct tuples
-// and the run lengths — because every cacheable fact's Holds reads only
-// those labels (opaque predicates are cacheable=false and never enter
-// the tables; see factKey). pps.SameShape compares exactly the labels,
-// so when it holds, both engines would compute bit-identical entries
-// for every shared key, and the two tables are shared LIVE: whichever
-// engine scans first, the other inherits the entry, in either order and
-// concurrently. The beliefs and indeps tables condition on µ_T — the
-// one thing SameShape deliberately ignores — so they are always fresh.
+// action is performed, and at which local states) is a pure function of
+// the system's LABELS — the per-(run, time) env/locals/acts/envAct
+// tuples and the run lengths. So is an entry of the events table, the
+// fact-extension sets φ@ℓ and φ@α of label-pure facts. The rule: a fact
+// is label-pure unless its spec contains believes. Every other operator
+// reads only labels, and knows reads only the occurrence sets, which
+// the labels fix (the prior has full support). A belief reads µ_T, so
+// the extensions of a fact containing believes go to the mevents table
+// instead. Opaque predicates are never cached (see refOf).
+// pps.SameShape compares exactly the labels, so when it holds, both
+// engines would compute bit-identical entries for every shared key, and
+// the two tables are shared LIVE: whichever engine scans first, the
+// other inherits the entry, in either order and concurrently. The
+// mevents, beliefs and indeps tables condition on µ_T — the one thing
+// SameShape deliberately ignores — so they are always fresh.
 //
 // shared reports whether sharing engaged; it is false (and the engine
 // is simply New(sys)) when neighbour is nil or the shapes differ, so
@@ -161,31 +170,18 @@ func NewSeeded(sys *pps.System, neighbour *Engine) (e *Engine, shared bool) {
 		sys:     sys,
 		perf:    neighbour.perf,
 		events:  neighbour.events,
+		mevents: &memo[eventKey, *runset.Set]{},
 		beliefs: &memo[beliefKey, *big.Rat]{},
 		indeps:  &memo[eventKey, IndependenceReport]{},
 	}, true
 }
 
 // CacheStats reports the engine's memoization sizes: the number of cached
-// (agent, action) performance indexes, fact extensions, and beliefs. It
-// is exposed for tests, diagnostics and capacity planning.
+// (agent, action) performance indexes, fact extensions (label-pure and
+// measure-dependent together), and beliefs. It is exposed for tests,
+// diagnostics and capacity planning.
 func (e *Engine) CacheStats() (perf, events, beliefs int) {
-	return e.perf.len(), e.events.len(), e.beliefs.len()
-}
-
-// factKey renders a fact's cache identity from its structural spec,
-// whose Key rendering quotes every parameter so distinct facts never
-// collide (display strings can: does_a(b(c) is both Does("a(b","c")
-// and Does("a","b(c")). cacheable is false for facts containing opaque
-// Go predicates (logic.Atom, LocalPred, EnvPred): they have no
-// structural spec and a display name need not identify its closure, so
-// those facts are recomputed on every query instead.
-func factKey(f logic.Fact) (key string, cacheable bool) {
-	spec, ok := logic.SpecOf(f)
-	if !ok {
-		return "", false
-	}
-	return spec.Key(), true
+	return e.perf.len(), e.events.len() + e.mevents.len(), e.beliefs.len()
 }
 
 // System returns the underlying system.

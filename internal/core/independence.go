@@ -88,13 +88,14 @@ func (e *Engine) LocalStateIndependenceCtx(ctx context.Context, f logic.Fact, ag
 		return IndependenceReport{}, err
 	}
 	var report IndependenceReport
-	if fk, cacheable := factKey(f); cacheable {
-		key := eventKey{fact: fk, agent: a, kind: eventIndep, at: action}
+	ref := refOf(f)
+	if ref.cacheable {
+		key := eventKey{fact: ref.key, agent: a, kind: eventIndep, at: action}
 		report, err = e.indeps.getCtx(ctx, key, func() (IndependenceReport, error) {
-			return e.localStateIndependence(ctx, f, a, action)
+			return e.localStateIndependence(ctx, ref, a, action)
 		})
 	} else {
-		report, err = e.localStateIndependence(ctx, f, a, action)
+		report, err = e.localStateIndependence(ctx, ref, a, action)
 	}
 	if err != nil {
 		return IndependenceReport{}, err
@@ -113,20 +114,19 @@ func (e *Engine) LocalStateIndependenceCtx(ctx context.Context, f logic.Fact, ag
 //     (one performance scan per (agent, action), ever) — local states at
 //     which α is never performed satisfy the equation with both sides
 //     exactly 0 and are settled without evaluating the fact at all;
-//   - φ@ℓ is the memoized fact-extension scan (factAtLocal), shared with
+//   - φ@ℓ is the memoized fact-extension scan (localExt), shared with
 //     the belief queries and — through seeded engines (NewSeeded) — with
 //     neighbouring sweep assignments;
 //   - [φ∧α]@ℓ is a bitset intersection of the two.
 //
 // Violation order (LocalStates' sorted enumeration) and the
 // every-indepCtxInterval cancellation checks are preserved exactly.
-func (e *Engine) localStateIndependence(ctx context.Context, f logic.Fact, a pps.AgentID, action string) (IndependenceReport, error) {
+func (e *Engine) localStateIndependence(ctx context.Context, ref factRef, a pps.AgentID, action string) (IndependenceReport, error) {
 	report := IndependenceReport{Independent: true}
 	info := e.perfFor(a, action)
-	agent := e.sys.AgentName(a)
 	for n, local := range e.sys.LocalStates(a) {
 		if n%indepCtxInterval == indepCtxInterval-1 {
-			if cause := context.Cause(ctx); cause != nil {
+			if cause := abortCause(ctx); cause != nil {
 				return IndependenceReport{}, fmt.Errorf("core: independence scan aborted after %d local states: %w", n, cause)
 			}
 		}
@@ -140,7 +140,7 @@ func (e *Engine) localStateIndependence(ctx context.Context, f logic.Fact, a pps
 		if !ok {
 			continue // unreachable: LocalStates only lists occurring states
 		}
-		factAt, err := e.factAtLocal(ctx, f, a, agent, local) // φ@ℓ (shared cache entry)
+		factAt, err := e.localExt(ctx, ref, a, local) // φ@ℓ (shared cache entry)
 		if err != nil {
 			return IndependenceReport{}, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -86,6 +87,9 @@ func (e *Engine) Decompose(f logic.Fact, agent, action string) (JeffreyDecomposi
 	var d JeffreyDecomposition
 	d.ExpectedBelief = new(big.Rat)
 	d.ConstraintProb = new(big.Rat)
+	ctx := context.Background()
+	ref := refOf(f)
+	fb, b := e.scanFact(ctx, ref)
 	locals := append([]string(nil), info.locals...)
 	sort.Strings(locals)
 	for _, local := range locals {
@@ -101,11 +105,14 @@ func (e *Engine) Decompose(f logic.Fact, agent, action string) (JeffreyDecomposi
 				return true // α performed elsewhere (or not at all) in r
 			}
 			cell.Add(r)
-			if f.Holds(e.sys, pps.RunID(r), tm) {
+			if fb.Holds(e.sys, pps.RunID(r), tm) {
 				factInCell.Add(r)
 			}
-			return true
+			return b == nil || b.err == nil
 		})
+		if b != nil && b.err != nil {
+			return JeffreyDecomposition{}, b.err
+		}
 		if cell.IsEmpty() {
 			continue
 		}
@@ -115,10 +122,11 @@ func (e *Engine) Decompose(f logic.Fact, agent, action string) (JeffreyDecomposi
 		if !okW {
 			continue // unreachable: properFor guarantees µ(α) > 0
 		}
-		posterior, berr := e.Belief(f, agent, local)
+		posterior, berr := e.belief(ctx, ref, a, local)
 		if berr != nil {
 			return JeffreyDecomposition{}, berr
 		}
+		posterior = ratutil.Copy(posterior)
 		cellConstraint, okC := e.sys.Cond(factInCell, cell)
 		if !okC {
 			continue // unreachable: cell is nonempty

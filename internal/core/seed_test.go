@@ -18,6 +18,7 @@ import (
 	"math/big"
 	"testing"
 
+	"pak/internal/epistemic"
 	"pak/internal/logic"
 	"pak/internal/pps"
 	"pak/internal/randsys"
@@ -157,7 +158,7 @@ func TestNewSeededShapeGate(t *testing.T) {
 	if seeded.perf != a.perf || seeded.events != a.events {
 		t.Error("seeded engine does not share the structural tables")
 	}
-	if seeded.beliefs == a.beliefs || seeded.indeps == a.indeps {
+	if seeded.mevents == a.mevents || seeded.beliefs == a.beliefs || seeded.indeps == a.indeps {
 		t.Error("seeded engine shares a µ_T-dependent table; that is unsound across measures")
 	}
 	other := squadEngine(t, 2, 1)
@@ -236,5 +237,54 @@ func TestSeededEngineMatchesFresh(t *testing.T) {
 	if gotSuf.Holds() != wantSuf.Holds() || gotSuf.Independent != wantSuf.Independent ||
 		!ratutil.Eq(gotSuf.MinBelief, wantSuf.MinBelief) || !ratutil.Eq(gotSuf.ConstraintProb, wantSuf.ConstraintProb) {
 		t.Errorf("sufficiency: seeded %+v, fresh %+v", gotSuf, wantSuf)
+	}
+}
+
+// TestSeededBelievesMatchesFresh is the seeding differential for a
+// measure-dependent fact: B_General^{1/2}(all fire) reads µ_T, so its
+// φ@α and φ@ℓ extensions differ between loss assignments of one squad
+// even though the shapes are equal. After the 1/10 engine has answered
+// the believes queries, an engine seeded from it for loss 9/10 must
+// still give a fresh engine's answers.
+func TestSeededBelievesMatchesFresh(t *testing.T) {
+	const n = 3
+	fact := epistemic.Believes(scenarios.General, ratutil.R(1, 2), scenarios.AllFireFact(n))
+	half := ratutil.R(1, 2)
+	queries := []struct {
+		name string
+		eval func(e *Engine) (*big.Rat, error)
+	}{
+		{"constraint", func(e *Engine) (*big.Rat, error) {
+			return e.ConstraintProb(fact, scenarios.General, scenarios.ActFire)
+		}},
+		{"expected belief", func(e *Engine) (*big.Rat, error) {
+			return e.ExpectedBelief(fact, scenarios.General, scenarios.ActFire)
+		}},
+		{"threshold measure", func(e *Engine) (*big.Rat, error) {
+			return e.ThresholdMeasure(fact, scenarios.General, scenarios.ActFire, half)
+		}},
+	}
+
+	warm := squadEngine(t, n, 1)
+	for _, q := range queries {
+		if _, err := q.eval(warm); err != nil {
+			t.Fatalf("warm %s: %v", q.name, err)
+		}
+	}
+	far := squadEngine(t, n, 9)
+	seeded, shared := NewSeeded(far.sys, warm)
+	if !shared {
+		t.Fatal("seeding refused between loss assignments of one squad")
+	}
+	fresh := New(far.sys)
+	for _, q := range queries {
+		want, err1 := q.eval(fresh)
+		got, err2 := q.eval(seeded)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: fresh err %v, seeded err %v", q.name, err1, err2)
+		}
+		if !ratutil.Eq(got, want) {
+			t.Errorf("%s: seeded %s, fresh %s", q.name, got.RatString(), want.RatString())
+		}
 	}
 }

@@ -153,158 +153,43 @@ func ParseFact(data []byte) (logic.Fact, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFact, err)
 	}
-	parseArg := func() (logic.Fact, error) {
-		if doc.Arg == nil {
-			return nil, fmt.Errorf("%w: op %q requires \"arg\"", ErrBadFact, doc.Op)
-		}
-		return ParseFact(doc.Arg)
+	s := logic.FactSpec{
+		Op:     doc.Op,
+		Agent:  doc.Agent,
+		Action: doc.Action,
+		Local:  doc.Local,
+		Substr: doc.Substr,
+		Env:    doc.Env,
+		Time:   doc.Time,
+		P:      doc.P,
 	}
-	parseArgs := func(exact int) ([]logic.Fact, error) {
-		if exact >= 0 && len(doc.Args) != exact {
-			return nil, fmt.Errorf("%w: op %q requires exactly %d args", ErrBadFact, doc.Op, exact)
+	// Check the node before its subfacts, so the error reported is the
+	// first one in document order; subfacts the operator does not read
+	// are never parsed.
+	readArg, readArgs, err := logic.CheckNode(s, doc.Arg != nil, len(doc.Args))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFact, err)
+	}
+	var arg logic.Fact
+	var args []logic.Fact
+	if readArg {
+		if arg, err = ParseFact(doc.Arg); err != nil {
+			return nil, err
 		}
-		out := make([]logic.Fact, len(doc.Args))
+	}
+	if readArgs {
+		args = make([]logic.Fact, len(doc.Args))
 		for i, raw := range doc.Args {
-			f, err := ParseFact(raw)
-			if err != nil {
+			if args[i], err = ParseFact(raw); err != nil {
 				return nil, err
 			}
-			out[i] = f
 		}
-		return out, nil
 	}
-	needAgentAction := func() error {
-		if doc.Agent == "" || doc.Action == "" {
-			return fmt.Errorf("%w: op %q requires agent and action", ErrBadFact, doc.Op)
-		}
-		return nil
+	f, err := logic.BuildNode(s, arg, args, epistemic.Ops{})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFact, err)
 	}
-	switch doc.Op {
-	case "true":
-		return logic.True(), nil
-	case "false":
-		return logic.False(), nil
-	case "does":
-		if err := needAgentAction(); err != nil {
-			return nil, err
-		}
-		return logic.Does(doc.Agent, doc.Action), nil
-	case "performed":
-		if err := needAgentAction(); err != nil {
-			return nil, err
-		}
-		return logic.Performed(doc.Agent, doc.Action), nil
-	case "localIs":
-		if doc.Agent == "" {
-			return nil, fmt.Errorf("%w: localIs requires agent", ErrBadFact)
-		}
-		return logic.LocalIs(doc.Agent, doc.Local), nil
-	case "localContains":
-		if doc.Agent == "" || doc.Substr == "" {
-			return nil, fmt.Errorf("%w: localContains requires agent and substr", ErrBadFact)
-		}
-		return logic.LocalContains(doc.Agent, doc.Substr), nil
-	case "envIs":
-		return logic.EnvIs(doc.Env), nil
-	case "timeIs":
-		return logic.TimeIs(doc.Time), nil
-	case "not":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Not(f), nil
-	case "sometime":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Sometime(f), nil
-	case "always":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Always(f), nil
-	case "once":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Once(f), nil
-	case "soFar":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.SoFar(f), nil
-	case "eventually":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Eventually(f), nil
-	case "henceforth":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.Henceforth(f), nil
-	case "atTime":
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return logic.AtTime(doc.Time, f), nil
-	case "and":
-		fs, err := parseArgs(-1)
-		if err != nil {
-			return nil, err
-		}
-		return logic.And(fs...), nil
-	case "or":
-		fs, err := parseArgs(-1)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Or(fs...), nil
-	case "implies":
-		fs, err := parseArgs(2)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Implies(fs[0], fs[1]), nil
-	case "iff":
-		fs, err := parseArgs(2)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Iff(fs[0], fs[1]), nil
-	case "believes":
-		if doc.Agent == "" {
-			return nil, fmt.Errorf("%w: believes requires agent", ErrBadFact)
-		}
-		p, perr := ratutil.Parse(doc.P)
-		if perr != nil || !ratutil.IsProb(p) {
-			return nil, fmt.Errorf("%w: believes requires p in [0,1], got %q", ErrBadFact, doc.P)
-		}
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return epistemic.Believes(doc.Agent, p, f), nil
-	case "knows":
-		if doc.Agent == "" {
-			return nil, fmt.Errorf("%w: knows requires agent", ErrBadFact)
-		}
-		f, err := parseArg()
-		if err != nil {
-			return nil, err
-		}
-		return epistemic.Knows(doc.Agent, f), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown op %q", ErrBadFact, doc.Op)
-	}
+	return f, nil
 }
 
 // Query is a full analysis request for the pakcheck tool: a probabilistic

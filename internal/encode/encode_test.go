@@ -282,3 +282,50 @@ func TestMarshalFactOpaque(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFactErrorMessages pins ParseFact's error text, including
+// which error a document with several reports: each node is checked
+// before its subfacts, subfacts are parsed in document order, and
+// subfacts an operator does not read are never parsed.
+func TestParseFactErrorMessages(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{`{"op":"does"}`, `encode: malformed fact document: op "does" requires agent and action`},
+		{`{"op":"does","agent":"a"}`, `encode: malformed fact document: op "does" requires agent and action`},
+		{`{"op":"performed","agent":"a"}`, `encode: malformed fact document: op "performed" requires agent and action`},
+		{`{"op":"localIs"}`, `encode: malformed fact document: localIs requires agent`},
+		{`{"op":"localContains","agent":"a"}`, `encode: malformed fact document: localContains requires agent and substr`},
+		{`{"op":"timeIs","time":"x"}`, `encode: malformed fact document: json: cannot unmarshal string into Go struct field factDoc.time of type int`},
+		{`{"op":"not"}`, `encode: malformed fact document: op "not" requires "arg"`},
+		{`{"op":"not","arg":null}`, `encode: malformed fact document: unknown op ""`},
+		{`{"op":"not","arg":{"op":"nope"}}`, `encode: malformed fact document: unknown op "nope"`},
+		{`{"op":"atTime","time":2}`, `encode: malformed fact document: op "atTime" requires "arg"`},
+		{`{"op":"or","args":[{"op":"true"},{"op":"bad"},{"op":"does"}]}`, `encode: malformed fact document: unknown op "bad"`},
+		{`{"op":"and","args":[{"op":"not"},{"op":"true","time":"x"}]}`, `encode: malformed fact document: op "not" requires "arg"`},
+		{`{"op":"implies","args":[{"op":"true"}]}`, `encode: malformed fact document: op "implies" requires exactly 2 args`},
+		{`{"op":"iff","args":[{"op":"true"},{"op":"false"},{"op":"true"}]}`, `encode: malformed fact document: op "iff" requires exactly 2 args`},
+		{`{"op":"believes"}`, `encode: malformed fact document: believes requires agent`},
+		{`{"op":"believes","agent":"a"}`, `encode: malformed fact document: believes requires p in [0,1], got ""`},
+		{`{"op":"believes","agent":"a","p":"3/2"}`, `encode: malformed fact document: believes requires p in [0,1], got "3/2"`},
+		{`{"op":"believes","agent":"a","p":"1/2"}`, `encode: malformed fact document: op "believes" requires "arg"`},
+		{`{"op":"believes","agent":"a","p":"x","arg":{"op":"zz"}}`, `encode: malformed fact document: believes requires p in [0,1], got "x"`},
+		{`{"op":"believes","p":"1","arg":{"op":"true"}}`, `encode: malformed fact document: believes requires agent`},
+		{`{"op":"knows"}`, `encode: malformed fact document: knows requires agent`},
+		{`{"op":"knows","agent":"a"}`, `encode: malformed fact document: op "knows" requires "arg"`},
+		{`{"op":""}`, `encode: malformed fact document: unknown op ""`},
+		{`{}`, `encode: malformed fact document: unknown op ""`},
+		{`[]`, `encode: malformed fact document: json: cannot unmarshal array into Go value of type encode.factDoc`},
+		{`{"op":"zz","arg":{"op":"true"}}`, `encode: malformed fact document: unknown op "zz"`},
+		{`{"op":"not","arg":[1]}`, `encode: malformed fact document: json: cannot unmarshal array into Go value of type encode.factDoc`},
+		{`{"op":"and","args":[1]}`, `encode: malformed fact document: json: cannot unmarshal number into Go value of type encode.factDoc`},
+	} {
+		_, err := ParseFact([]byte(tc.doc))
+		if err == nil || err.Error() != tc.want || !errors.Is(err, ErrBadFact) {
+			t.Errorf("ParseFact(%s) err = %v, want %q", tc.doc, err, tc.want)
+		}
+	}
+	for _, doc := range []string{`{"op":"true","arg":{"op":1}}`, `{"op":"and","arg":{"op":5},"args":[{"op":"true"}]}`} {
+		if _, err := ParseFact([]byte(doc)); err != nil {
+			t.Errorf("ParseFact(%s) = %v; a subfact the operator does not read must be ignored", doc, err)
+		}
+	}
+}

@@ -17,10 +17,16 @@
 // makes nested-belief conditions directly usable in probabilistic
 // constraints analyzed by internal/core.
 //
-// Evaluation is self-contained (no engine cache): each Holds call computes
-// the conditional measure from the system. For heavy repeated queries over
-// the same (agent, fact) pair, prefer core.Engine; for nesting and
-// composition, use this package.
+// Evaluation here is self-contained (no engine cache): each Holds call
+// computes the conditional measure from the system by rescanning the runs
+// through the agent's local state. That is the path for engine-free
+// callers (the Monte-Carlo sampler, the LP backend, direct Holds calls)
+// and the oracle the engine is tested against. When core.Engine scans a
+// fact, it does not call these Holds methods: it rebuilds the fact from
+// its spec (logic.FromSpec) with operators bound to its own memo tables,
+// so β_i(φ) is computed once per local state and K_i(φ) reads the
+// memoized φ@ℓ extension. Ops supplies this package's operators to
+// logic.FromSpec.
 package epistemic
 
 import (
@@ -117,6 +123,20 @@ func (k knowsFact) String() string { return fmt.Sprintf("K_%s(%s)", k.agent, k.f
 // every run consistent with its local state (S5 knowledge).
 func Knows(agent string, f logic.Fact) logic.Fact {
 	return knowsFact{agent: agent, f: f}
+}
+
+// Ops is the logic.Epistemic that builds this package's self-contained
+// operators; encode.ParseFact hands it to logic.FromSpec.
+type Ops struct{}
+
+// Believes returns Believes(agent, p, arg).
+func (Ops) Believes(agent string, p *big.Rat, arg logic.Fact, _ *logic.FactSpec) logic.Fact {
+	return Believes(agent, p, arg)
+}
+
+// Knows returns Knows(agent, arg).
+func (Ops) Knows(agent string, arg logic.Fact, _ *logic.FactSpec) logic.Fact {
+	return Knows(agent, arg)
 }
 
 // EveryoneBelieves returns E_G^p(φ) = ∧_{i∈G} B_i^p(φ).

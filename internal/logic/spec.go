@@ -7,10 +7,7 @@ package logic
 // escape-hatch predicates (Atom, LocalPred with an arbitrary predicate,
 // EnvPred) cannot: their behaviour lives in a Go closure.
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // FactSpec is the structural form of a serializable fact. Op names match
 // the JSON schema of internal/encode (see encode.ParseFact); the other
@@ -128,22 +125,30 @@ func (f atTimeFact) Spec() (FactSpec, bool) {
 // distinct specs never render equal (unlike display strings, where
 // unquoted names such as does_a(b(c) can collide across operators).
 func (s FactSpec) Key() string {
-	var b strings.Builder
-	s.writeKey(&b)
-	return b.String()
+	return string(s.appendKey(make([]byte, 0, 64)))
 }
 
-func (s FactSpec) writeKey(b *strings.Builder) {
-	fmt.Fprintf(b, "%s(%q,%q,%q,%q,%q,%d,%q", s.Op, s.Agent, s.Action, s.Local, s.Substr, s.Env, s.Time, s.P)
+// appendKey appends the Key rendering: op(agent,action,local,substr,
+// env,time,p[,[arg]][,[args]...]) with every string quoted.
+func (s *FactSpec) appendKey(b []byte) []byte {
+	b = append(b, s.Op...)
+	b = append(b, '(')
+	for _, str := range [...]string{s.Agent, s.Action, s.Local, s.Substr, s.Env} {
+		b = strconv.AppendQuote(b, str)
+		b = append(b, ',')
+	}
+	b = strconv.AppendInt(b, int64(s.Time), 10)
+	b = append(b, ',')
+	b = strconv.AppendQuote(b, s.P)
 	if s.Arg != nil {
-		b.WriteString(",[")
-		s.Arg.writeKey(b)
-		b.WriteString("]")
+		b = append(b, ",["...)
+		b = s.Arg.appendKey(b)
+		b = append(b, ']')
 	}
-	for _, arg := range s.Args {
-		b.WriteString(",[")
-		arg.writeKey(b)
-		b.WriteString("]")
+	for i := range s.Args {
+		b = append(b, ",["...)
+		b = s.Args[i].appendKey(b)
+		b = append(b, ']')
 	}
-	b.WriteString(")")
+	return append(b, ')')
 }

@@ -13,15 +13,17 @@ import (
 // differently.
 //
 // SameShape is the soundness gate for structure sharing between engines
-// (core.NewSeeded): every fact of the structural grammar evaluates
+// (core.NewSeeded). A fact is label-pure unless it contains believes:
+// every other operator of the structural grammar evaluates
 // Holds(sys, r, t) by reading only the labels SameShape compares (env,
 // locals, acts, envAct, the time index and run lengths — never µ_T, and
-// never tree-node identity), so any memoized quantity that is a pure
-// function of fact truth at points and of where actions are performed —
-// the perf index and the φ@ℓ / φ@α extension sets — is identical across
-// SameShape-equal systems. Measure-dependent tables (beliefs,
-// independence reports) are NOT label-functions and must never be shared;
-// core.NewSeeded keeps those per-engine.
+// never tree-node identity), and knows reads only which runs share a
+// local state, which those labels fix. So the perf index and the φ@ℓ /
+// φ@α extension sets of label-pure facts are identical across
+// SameShape-equal systems. A believes fact reads µ_T through the
+// agent's posterior, so its extensions are measure-dependent, like the
+// beliefs and the independence reports; none of those may be shared,
+// and core.NewSeeded keeps them per-engine.
 //
 // Tree sharing (which runs pass through the same node) is also not
 // compared: label-equal systems can differ there, which is why
