@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race flake bench bench-query bench-service bench-sweep bench-compile load-smoke docs experiments scenarios tidy check
+.PHONY: all build vet test race flake fuzz-smoke bench bench-query bench-service bench-sweep bench-compile load-smoke docs experiments scenarios tidy check
 
 all: check
 
@@ -26,6 +26,15 @@ race:
 # lucky scheduling.
 flake:
 	$(GO) test -count=20 -shuffle=on ./internal/service ./internal/query ./internal/load
+
+# The store fuzz smoke: each result-store fuzzer for 10 s — the round
+# trip with flipped bytes in both entry layouts, arbitrary entry-file
+# bytes at a fixed address, and Put's acceptance against the v1
+# backend's. `go test -fuzz` takes one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskEntryBytes$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzPutAcceptsWhatV1Accepted$$' -fuzztime 10s ./internal/store
 
 # Full benchmark suite: every paper experiment (verified per iteration)
 # plus the engine performance benchmarks.
@@ -51,12 +60,14 @@ bench-service:
 # measure kernel vs the naive big.Rat fold (both tiers, both shapes),
 # and the unfold alone (nsquad n=2..4), the layer every cold assignment
 # pays before its engine exists, and a believes fact at a fresh level on
-# a warm nsquad(4) engine (the engine-bound epistemic scan).
+# a warm nsquad(4) engine (the engine-bound epistemic scan), and a
+# buffered four-system shared batch answered wholly from a disk store
+# (the store read path).
 # Baseline numbers are recorded in BENCHMARKS.md; re-run this target
-# after touching the engine's memo tables, the shape gate, the kernel or
-# the unfold.
+# after touching the engine's memo tables, the shape gate, the kernel,
+# the unfold or the store.
 bench-sweep:
-	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold|BeliefFlood' -benchmem .
+	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold|BeliefFlood|StoreReplaySharedBatch' -benchmem .
 
 # Bench-compile smoke: run every benchmark in every package exactly once,
 # so CI catches a benchmark that no longer compiles or dies on its first

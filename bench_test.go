@@ -455,6 +455,41 @@ func BenchmarkEvalWithEviction(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreReplaySharedBatch measures a buffered /v1/eval whose
+// four systems share one batch and whose every slot is a disk-store
+// hit, served by a fresh server over a populated store directory. No
+// engine builds: the request pays the shared batch's canonicalization
+// (once), one store Get per slot (file read and integrity checks) and
+// one ResultDoc decode per slot, then the response encode.
+func BenchmarkStoreReplaySharedBatch(b *testing.B) {
+	qs := []pak.Query{
+		pak.ConstraintQuery{Fact: pak.AllFire(2), Agent: "General", Action: "fire"},
+		pak.ExpectationQuery{Fact: pak.AllFire(2), Agent: "General", Action: "fire"},
+	}
+	for _, p := range []int64{1, 2, 3, 4, 5, 6} {
+		qs = append(qs, pak.ThresholdQuery{Fact: pak.AllFire(2), Agent: "s1", Action: "fire", P: bigmath.NewRat(p, 7)})
+	}
+	batch, err := pak.MarshalQueryBatch(qs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"systems": ["nsquad(2)", "nsquad(3)", "nsquad(n=2,improved=true)", "nsquad(n=3,loss=1/5)"], "queries": %s}`, batch)
+	st, err := pak.OpenDiskStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	populate := httptest.NewServer(pak.ServiceHandler(pak.WithServiceResultStore(st)))
+	benchPost(b, populate.URL, body)
+	populate.Close()
+
+	ts := httptest.NewServer(pak.ServiceHandler(pak.WithServiceResultStore(st)))
+	defer ts.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		benchPost(b, ts.URL, body)
+	}
+}
+
 // BenchmarkQueryBatchColdEngines measures the WithCache(false) mode:
 // every query on its own engine, no shared memoization. The gap to the
 // shared-cache runs is the value of the engine's memoization.

@@ -8,11 +8,13 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"pak/internal/query"
 	"pak/internal/scenarios"
 	"pak/internal/service"
 	"pak/internal/store"
+	"pak/internal/store/storetest"
 )
 
 // populate evaluates one small batch through a store-backed in-process
@@ -142,7 +144,7 @@ func TestListedQueriesReparse(t *testing.T) {
 	}
 	keys, _ := d.Keys()
 	for _, k := range keys {
-		e, err := d.Read(k)
+		e, _, err := d.Read(k)
 		if err != nil {
 			t.Fatalf("Read(%s): %v", k, err)
 		}
@@ -153,5 +155,108 @@ func TestListedQueriesReparse(t *testing.T) {
 		if err := json.Unmarshal(e.Value, &doc); err != nil {
 			t.Errorf("stored value for %s is not a ResultDoc: %v", k, err)
 		}
+	}
+}
+
+// TestMigrate: a store holding v1 entries (the service's answers,
+// rewritten in the v1 layout by the test helper) plus one corrupt v1
+// entry. -migrate rewrites the verified entries as layout2 at the same
+// addresses with identical value bytes, names and keeps the corrupt
+// one, exits 1 for it, and a second run changes nothing.
+func TestMigrate(t *testing.T) {
+	dir := t.TempDir()
+	populate(t, dir)
+	d, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := d.Keys()
+	if err != nil || len(keys) != 2 {
+		t.Fatalf("keys: %v, %v", keys, err)
+	}
+	want := map[store.Key][]byte{}
+	var first store.Entry
+	for i, k := range keys {
+		e, _, err := d.Read(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = e
+		}
+		if _, err := storetest.WriteV1(d, e); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = e.Value
+	}
+	bad, err := storetest.WriteV1(d, store.Entry{System: "nsquad(n=9)", Query: first.Query, Value: first.Value})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(d.Path(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(d.Path(bad), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out, _ := runCmd(t, "-dir", dir)
+	if code != 0 || !strings.Contains(out, "3 entries") || !strings.Contains(out, "(1 corrupt); 2 layout1, 0 layout2") {
+		t.Fatalf("v1 summary: code %d, out %q", code, out)
+	}
+	code, out, _ = runCmd(t, "-dir", dir, "-list")
+	if code != 0 || strings.Count(out, "  layout1  ") != 2 || !strings.Contains(out, string(bad)+"  CORRUPT") {
+		t.Fatalf("v1 list: code %d, out %q", code, out)
+	}
+
+	code, out, serr := runCmd(t, "-dir", dir, "-migrate")
+	if code != 1 || !strings.Contains(out, "CORRUPT "+string(bad)) || !strings.Contains(out, "migrated 2 of 3") {
+		t.Fatalf("migrate: code %d, out %q, err %q", code, out, serr)
+	}
+	for k, v := range want {
+		got, err := d.Get(k)
+		if err != nil || !bytes.Equal(got, v) {
+			t.Errorf("Get(%s) after migration = %s, %v; want %s", k, got, err, v)
+		}
+		if _, layout, _ := d.Read(k); layout != store.Layout2 {
+			t.Errorf("%s is %v after migration, want layout2", k, layout)
+		}
+	}
+	if after, _ := os.ReadFile(d.Path(bad)); !bytes.Equal(after, data) {
+		t.Error("migration touched the corrupt entry")
+	}
+
+	// A second run rewrites nothing: every file keeps its mtime.
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	for _, k := range append(keys, bad) {
+		if err := os.Chtimes(d.Path(k), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, out, _ = runCmd(t, "-dir", dir, "-migrate")
+	if code != 1 || !strings.Contains(out, "migrated 0 of 3") {
+		t.Fatalf("second migrate: code %d, out %q", code, out)
+	}
+	for _, k := range append(keys, bad) {
+		if fi, err := os.Stat(d.Path(k)); err != nil || !fi.ModTime().Equal(old) {
+			t.Errorf("second migrate rewrote %s", k)
+		}
+	}
+
+	// Without the corrupt entry the store verifies clean and migrates
+	// with exit 0.
+	if err := os.Remove(d.Path(bad)); err != nil {
+		t.Fatal(err)
+	}
+	if code, out, _ := runCmd(t, "-dir", dir, "-verify"); code != 0 || !strings.Contains(out, "2 entries, all verified") {
+		t.Fatalf("verify after migration: code %d, out %q", code, out)
+	}
+	if code, out, _ := runCmd(t, "-dir", dir, "-migrate"); code != 0 || !strings.Contains(out, "migrated 0 of 2") {
+		t.Fatalf("clean migrate: code %d, out %q", code, out)
+	}
+	if code, out, _ := runCmd(t, "-dir", dir); code != 0 || !strings.Contains(out, "(0 corrupt); 0 layout1, 2 layout2") {
+		t.Fatalf("migrated summary: code %d, out %q", code, out)
 	}
 }

@@ -204,6 +204,174 @@ func TestStoreCorruptNeverServed(t *testing.T) {
 	}
 }
 
+// TestStoreNonResultDocNeverServed: a layout-2 disk entry that passes
+// every integrity check but whose value is not a ResultDoc is counted
+// as corrupt and recomputed — the service's decode is the check that
+// refuses it — and the write-back heals it.
+func TestStoreNonResultDocNeverServed(t *testing.T) {
+	d, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(nil, WithResultStore(d))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	q := query.ConstraintQuery{Fact: scenarios.AllFireFact(2), Agent: scenarios.General, Action: scenarios.ActFire}
+	body := fmt.Sprintf(`{"systems": ["nsquad(2)"], "queries": %s}`, mustBatch(t, q))
+	_, clean := postEval(t, newTestServer(t), body)
+
+	rt, err := srv.resolveTarget("nsquad(2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := query.MarshalCanonical(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(store.Entry{System: rt.key, Query: raw, Value: []byte(`[1,2,3]`)}); err != nil {
+		t.Fatal(err)
+	}
+	k := store.NewKey(rt.key, raw)
+	if _, layout, err := d.Read(k); err != nil || layout != store.Layout2 {
+		t.Fatalf("planted entry: %v, %v; want a hash-valid layout2 entry", layout, err)
+	}
+
+	resp, got := postEval(t, ts, body)
+	if resp.StatusCode != http.StatusOK || string(got) != string(clean) {
+		t.Fatalf("status %d; answer differs from a clean evaluation:\nclean: %s\ngot:   %s", resp.StatusCode, clean, got)
+	}
+	if st := srv.storeStats(); st.Corrupt != 1 || st.Hits != 0 || st.Writes != 1 {
+		t.Errorf("store stats = %+v, want 1 corrupt, 0 hits, 1 healing write", st)
+	}
+	if _, again := postEval(t, ts, body); string(again) != string(clean) {
+		t.Errorf("healed answer differs:\nclean:  %s\nhealed: %s", clean, again)
+	}
+	if st := srv.storeStats(); st.Hits != 1 {
+		t.Errorf("store stats after heal = %+v, want 1 hit", st)
+	}
+}
+
+// TestStoreSharedBatchKeys: a request whose systems share the top-level
+// batch canonicalizes it once, yet files and finds every slot under the
+// key per-system canonicalization derives; a system with its own batch
+// beside them keeps its own. The shared form then hits, buffered and
+// streamed, on every entry the per-system form wrote, with the same
+// bytes.
+func TestStoreSharedBatchKeys(t *testing.T) {
+	mem := store.NewMemory()
+	srv := New(nil, WithResultStore(mem))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	specs := []string{"nsquad(2)", "nsquad(3)", "nsquad(n=2,improved=true)"}
+	batch := squadBatch(t)
+	qs, err := query.ParseBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := query.ExpectationQuery{Fact: scenarios.AllFireFact(2), Agent: "s1", Action: scenarios.ActFire}
+	mixed := fmt.Sprintf(`{"queries": %s, "requests": [{"system": %q}, {"system": %q, "queries": %s}, {"system": %q}]}`,
+		batch, specs[0], specs[1], mustBatch(t, own), specs[2])
+	plan, ok := srv.decodeEvalRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(mixed)))
+	if !ok {
+		t.Fatal("decodeEvalRequest refused the mixed request")
+	}
+	if want := []bool{true, false, true}; fmt.Sprint(plan.shared) != fmt.Sprint(want) {
+		t.Fatalf("plan.shared = %v, want %v", plan.shared, want)
+	}
+	lk := srv.lookupStored(plan)
+	for i, spec := range specs {
+		batchQs := qs
+		if i == 1 {
+			batchQs = []query.Query{own}
+		}
+		for j, q := range batchQs {
+			if got, want := lk.keys[i][j], storeKeyFor(t, srv, spec, q); got != want {
+				t.Errorf("slot [%d][%d] key %s, want %s", i, j, got, want)
+			}
+		}
+	}
+	if &lk.raws[0][0] != &lk.raws[2][0] {
+		t.Error("the shared batch was canonicalized once per system")
+	}
+
+	// The per-system form populates; the shared form then hits on all
+	// of it, byte-identically.
+	perSystem := make([]string, len(specs))
+	quoted := make([]string, len(specs))
+	for i, spec := range specs {
+		perSystem[i] = fmt.Sprintf(`{"system": %q, "queries": %s}`, spec, batch)
+		quoted[i] = fmt.Sprintf("%q", spec)
+	}
+	_, want := postEval(t, ts, fmt.Sprintf(`{"requests": [%s]}`, strings.Join(perSystem, ",")))
+	slots := int64(len(specs) * len(qs))
+	if st := srv.storeStats(); st.Writes != slots {
+		t.Fatalf("per-system form wrote %d entries, want %d", st.Writes, slots)
+	}
+	shared := fmt.Sprintf(`{"systems": [%s], "queries": %s, "parallelism": 1}`, strings.Join(quoted, ","), batch)
+	if _, got := postEval(t, ts, shared); string(got) != string(want) {
+		t.Errorf("shared form differs from the per-system form:\nshared:     %s\nper-system: %s", got, want)
+	}
+	_, streamed := postStream(t, ts, shared)
+	_, plain := postStream(t, newTestServer(t), shared)
+	if streamed != plain {
+		t.Errorf("stored stream differs from a storeless serial stream:\nstored:    %s\nstoreless: %s", streamed, plain)
+	}
+	// Misses: the direct lookup of the mixed plan into the empty store,
+	// then the populating request.
+	misses := int64(2*len(qs)+1) + slots
+	if st := srv.storeStats(); st.Hits != 2*slots || st.Misses != misses || st.Corrupt != 0 {
+		t.Errorf("store stats = %+v, want %d hits and %d misses", st, 2*slots, misses)
+	}
+	if cs := srv.Cache().Stats(); cs.Misses != uint64(len(specs)) {
+		t.Errorf("engine builds = %d, want %d (the shared form builds nothing)", cs.Misses, len(specs))
+	}
+}
+
+// flushCounter records, at each Flush, how many NDJSON lines had been
+// written.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushedAt []int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushedAt = append(f.flushedAt, strings.Count(f.Body.String(), "\n"))
+	f.ResponseRecorder.Flush()
+}
+
+// TestStoreStreamOneFlush: a fully stored stream writes its frames back
+// to back and flushes once before the terminal frame, and its bytes are
+// those of a storeless serial stream.
+func TestStoreStreamOneFlush(t *testing.T) {
+	srv := New(nil, WithResultStore(store.NewMemory()))
+	body := fmt.Sprintf(`{"systems": ["nsquad(2)", "nsquad(3)"], "queries": %s, "parallelism": 1}`, squadBatch(t))
+	stream := func(h http.Handler) *flushCounter {
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval/stream", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("stream status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	cold := stream(srv.Handler())
+	if got := fmt.Sprint(cold.flushedAt); got != "[1 2 3 4 5 6 7 8 9]" {
+		t.Errorf("an evaluated stream flushed after lines %s, want after every frame", got)
+	}
+	warm := stream(srv.Handler())
+	if st := srv.storeStats(); st.Hits != 8 {
+		t.Fatalf("warm stream hits = %d, want 8", st.Hits)
+	}
+	if got := fmt.Sprint(warm.flushedAt); got != "[8 9]" {
+		t.Errorf("a stored stream flushed after lines %s, want [8 9]: once for the stored frames, once for the terminal", got)
+	}
+	plain := stream(New(nil).Handler())
+	if warm.Body.String() != plain.Body.String() {
+		t.Errorf("stored stream differs from a storeless one:\nstored:    %s\nstoreless: %s", warm.Body, plain.Body)
+	}
+}
+
 // TestStorePersistenceContract: what must never be written — approx
 // results (whole requests bypass the tier), error slots, and slots of
 // a request whose context already has a cause.

@@ -711,9 +711,12 @@ type SystemResult struct {
 // streaming handlers: the requested spec strings, their resolved
 // targets, the parsed per-system batches, and the clamped parallelism.
 type evalPlan struct {
-	specs    []string
-	targets  []resolved
-	batches  [][]query.Query
+	specs   []string
+	targets []resolved
+	batches [][]query.Query
+	// shared marks the targets whose batch is the request's top-level
+	// one: their batches are the same parsed slice.
+	shared   []bool
 	parallel int
 	// approx is the validated approximate-tier spec (nil = exact only).
 	approx *query.ApproxSpec
@@ -919,12 +922,13 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (eval
 		specs:    make([]string, len(targets)),
 		targets:  resolvedTargets,
 		batches:  batches,
+		shared:   make([]bool, len(targets)),
 		parallel: parallel,
 		approx:   approx,
 		backend:  backend,
 	}
 	for i, tg := range targets {
-		plan.specs[i] = tg.spec
+		plan.specs[i], plan.shared[i] = tg.spec, tg.shared
 	}
 	return plan, true
 }

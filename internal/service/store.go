@@ -96,7 +96,9 @@ type storeLookup struct {
 // returns nil when the tier is off for this request: no store
 // configured, or an approx request (estimates are never stored, and a
 // stored exact doc would be missing the estimate an approx response
-// carries — so approx requests bypass reads too).
+// carries — so approx requests bypass reads too). The top-level batch
+// shared by several systems is canonicalized once, not once per
+// system.
 func (s *Server) lookupStored(plan evalPlan) *storeLookup {
 	if s.resultStore == nil || plan.approx != nil {
 		return nil
@@ -106,17 +108,25 @@ func (s *Server) lookupStored(plan evalPlan) *storeLookup {
 		raws: make([][]json.RawMessage, len(plan.batches)),
 		docs: make([][]*query.ResultDoc, len(plan.batches)),
 	}
+	var sharedRaws []json.RawMessage
 	for i, batch := range plan.batches {
+		shared := i < len(plan.shared) && plan.shared[i]
+		if !shared || sharedRaws == nil {
+			lk.raws[i] = canonicalDocs(batch)
+		} else {
+			lk.raws[i] = sharedRaws
+		}
+		if shared {
+			sharedRaws = lk.raws[i]
+		}
 		lk.keys[i] = make([]store.Key, len(batch))
-		lk.raws[i] = make([]json.RawMessage, len(batch))
 		lk.docs[i] = make([]*query.ResultDoc, len(batch))
-		for j, q := range batch {
-			raw, err := query.MarshalCanonical(q)
-			if err != nil {
+		for j, raw := range lk.raws[i] {
+			if raw == nil {
 				continue // opaque query: no address, always evaluated
 			}
 			k := store.NewKey(plan.targets[i].key, raw)
-			lk.keys[i][j], lk.raws[i][j] = k, raw
+			lk.keys[i][j] = k
 			data, err := s.resultStore.Get(k)
 			switch {
 			case err == nil:
@@ -137,6 +147,19 @@ func (s *Server) lookupStored(plan evalPlan) *storeLookup {
 		}
 	}
 	return lk
+}
+
+// canonicalDocs renders each query of a batch as its canonical
+// document, the query half of a store address; an opaque query, which
+// has none, gets nil.
+func canonicalDocs(batch []query.Query) []json.RawMessage {
+	raws := make([]json.RawMessage, len(batch))
+	for j, q := range batch {
+		if raw, err := query.MarshalCanonical(q); err == nil {
+			raws[j] = raw
+		}
+	}
+	return raws
 }
 
 // fullyHit reports whether system i's entire non-empty batch was

@@ -16,13 +16,14 @@
 //	           mid-stream engine build failure); carries the HTTP status
 //	           the failure would have had in "code"
 //
-// Store-served frames stream first, in (system, batch) order; evaluated
-// frames then arrive in completion order across ALL systems at once
-// (serial parallelism therefore streams in request order). Engines are
-// lazy: each system's engine builds when the evaluator's first worker
-// reaches one of its slots, so a cold multi-system request starts
-// answering as soon as its first engine is up — and systems the
-// deadline cuts before any slot starts never build at all.
+// Store-served frames stream first, in (system, batch) order and under
+// one flush; evaluated frames then arrive, each flushed on its own, in
+// completion order across ALL systems at once (serial parallelism
+// therefore streams in request order). Engines are lazy: each system's
+// engine builds when the evaluator's first worker reaches one of its
+// slots, so a cold multi-system request starts answering as soon as its
+// first engine is up — and systems the deadline cuts before any slot
+// starts never build at all.
 //
 // Request-level failures BEFORE the first frame (bad body, unknown
 // scenario, caps, a cold build failing while nothing has streamed) are
@@ -108,9 +109,19 @@ func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	return &streamWriter{w: w, flusher: f}
 }
 
-// frame writes one NDJSON line and flushes it to the client. The first
-// frame commits the 200 status line and the NDJSON content type.
+// frame writes one NDJSON line and flushes it to the client.
 func (sw *streamWriter) frame(v any) error {
+	if err := sw.write(v); err != nil {
+		return err
+	}
+	sw.flush()
+	return nil
+}
+
+// write writes one NDJSON line without flushing it, so that frames on
+// hand at once reach the client in one flush. The first frame commits
+// the 200 status line and the NDJSON content type.
+func (sw *streamWriter) write(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		// Frames are fully materialized value types; this cannot fail.
@@ -122,13 +133,15 @@ func (sw *streamWriter) frame(v any) error {
 		sw.w.WriteHeader(http.StatusOK)
 		sw.started = true
 	}
-	if _, err := sw.w.Write(append(data, '\n')); err != nil {
-		return err
-	}
+	_, err = sw.w.Write(append(data, '\n'))
+	return err
+}
+
+// flush sends every written frame to the client.
+func (sw *streamWriter) flush() {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
 	}
-	return nil
 }
 
 // fail reports a request-level failure in whichever shape is still
@@ -179,15 +192,16 @@ func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 	states, items := s.lazyItems(evalView, lookup)
 	sw := newStreamWriter(w)
 	// Stored slots stream first, across every system in (system, batch)
-	// order: they are on hand before any engine is. Fully-hit systems
-	// are thereby answered in full, engine-free.
+	// order: they are on hand before any engine is, so they go out
+	// back to back under one flush. Fully-hit systems are thereby
+	// answered in full, engine-free.
 	for i := range plan.targets {
 		for j := range plan.batches[i] {
 			hit := lookup.hit(i, j)
 			if hit == nil {
 				continue
 			}
-			err := sw.frame(StreamResultFrame{
+			err := sw.write(StreamResultFrame{
 				Frame:     frameResult,
 				System:    i,
 				Spec:      plan.specs[i],
@@ -199,6 +213,9 @@ func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+	}
+	if sw.started {
+		sw.flush()
 	}
 	for f := range query.EvalMultiStream(items, evalView.evalOptions(ctx)...) {
 		if f.Terminal() {

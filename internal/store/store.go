@@ -14,7 +14,7 @@
 //
 // Values are opaque bytes to this package; the service stores compact
 // ResultDoc JSON with every rational as an exact RatString — floats
-// never touch the envelope, so a stored answer re-parses with zero
+// never touch an entry, so a stored answer re-parses with zero
 // drift and re-serializes byte-identically (the round-trip fuzz test
 // pins this).
 //
@@ -75,7 +75,7 @@ func (k Key) valid() bool {
 var ErrNotFound = errors.New("store: not found")
 
 // ErrCorrupt is the loud integrity sentinel: the entry exists but its
-// bytes do not hash to what was recorded (or its envelope does not
+// bytes do not hash to what was recorded (or its file does not
 // parse, or it sits at the wrong address). A corrupt entry is NEVER
 // served; callers count it and fall through to recomputation.
 var ErrCorrupt = errors.New("store: corrupt entry")
