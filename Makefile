@@ -27,14 +27,18 @@ race:
 flake:
 	$(GO) test -count=20 -shuffle=on ./internal/service ./internal/query ./internal/load
 
-# The store fuzz smoke: each result-store fuzzer for 10 s — the round
-# trip with flipped bytes in both entry layouts, arbitrary entry-file
-# bytes at a fixed address, and Put's acceptance against the v1
-# backend's. `go test -fuzz` takes one target per run.
+# The fuzz smoke: each fuzzer for 10 s — the result store's round trip
+# with flipped bytes in both entry layouts, arbitrary entry-file bytes
+# at a fixed address, and Put's acceptance against the v1 backend's;
+# then the HTTP request decoders (/v1/eval and /v1/envelope bodies),
+# which must answer every input with acceptance or a 4xx errorDoc.
+# `go test -fuzz` takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskEntryBytes$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzPutAcceptsWhatV1Accepted$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvalRequest$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelopeRequest$$' -fuzztime 10s ./internal/service
 
 # Full benchmark suite: every paper experiment (verified per iteration)
 # plus the engine performance benchmarks.
@@ -81,12 +85,11 @@ bench-compile:
 # the envelope mix (adversary sweeps, buffered + streamed, with
 # envelope frame validation), and the approx mix (seeded estimates
 # strictly before exact refinements per slot, soak-mode stats
-# trajectory), and the lp mix (the second exact backend: lp-routed
-# evals and streams, the strict 400 probe, per-backend counters), and
-# the store-backed restart smoke (populate a persistent result store,
-# kill the server, replay byte-identically from a fresh one with store
-# hits and zero engine builds) — then pakload smoke runs of all five
-# mixes plus a populate-then-replay pair over one store directory
+# trajectory), and the store-backed restart smoke (populate a
+# persistent result store, kill the server, replay byte-identically
+# from a fresh one with store hits and zero engine builds) — then
+# pakload smoke runs of four mixes plus a populate-then-replay pair
+# over one store directory
 # (exit 1 if any request lands outside its designed outcome class).
 load-smoke:
 	$(GO) test -run 'TestLoadSmoke|TestStreamLoad|TestStoreRestart|TestLoadColdWarm' -race -count=1 ./internal/load
@@ -94,7 +97,6 @@ load-smoke:
 	$(GO) run ./cmd/pakload -n 80 -c 8 -mix stream -engine-cache 2 > /dev/null
 	$(GO) run ./cmd/pakload -n 80 -c 8 -mix envelope -engine-cache 2 > /dev/null
 	$(GO) run ./cmd/pakload -n 80 -c 8 -mix approx -engine-cache 2 -stats-interval 50ms > /dev/null
-	$(GO) run ./cmd/pakload -n 80 -c 8 -mix lp -engine-cache 2 > /dev/null
 	rm -rf /tmp/pak-load-store && $(GO) run ./cmd/pakload -n 40 -c 4 -mix squad -store-dir /tmp/pak-load-store > /dev/null
 	$(GO) run ./cmd/pakload -n 40 -c 4 -mix squad -store-dir /tmp/pak-load-store > /dev/null && rm -rf /tmp/pak-load-store
 

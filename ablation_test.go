@@ -46,20 +46,6 @@ func BenchmarkAblationMeasureExact(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMeasureFloat measures the float64 fast path on the
-// same event; comparing with MeasureExact quantifies the exactness tax.
-func BenchmarkAblationMeasureFloat(b *testing.B) {
-	sys := ablationSystem(b)
-	full := sys.FullSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sys.MeasureFloat(full) <= 0 {
-			b.Fatal("bad measure")
-		}
-	}
-}
-
 // BenchmarkAblationDirectExpectation computes both sides of Theorem 6.2
 // with the direct engine queries.
 func BenchmarkAblationDirectExpectation(b *testing.B) {

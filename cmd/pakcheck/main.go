@@ -30,11 +30,6 @@
 // With -batch, the document is a JSON array of explicit query specs
 // (pak.ParseQueryBatch's schema, produced by pak.MarshalQueryBatch), and
 // pakcheck evaluates exactly those, reporting one row per query.
-//
-// -backend {enum|lp|auto} selects the exact engine (default enum; lp
-// solves exact-rational linear programs over belief classes and returns
-// byte-identical results on every query it supports — see DESIGN.md's
-// "Second backend & differential testing").
 package main
 
 import (
@@ -72,10 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stream := fs.Bool("stream", false, "with -batch: render each result as it finishes (EvalStream) instead of one final table")
 	approxStr := fs.String("approx", "", `approximate tier, e.g. "eps=1/20,delta=1/100" or "samples=500,seed=3": answer supported queries from a seeded sample first, then refine to exact`)
 	approxOnly := fs.Bool("approx-only", false, "with -approx: skip exact refinement, answer from samples alone")
-	backendStr := fs.String("backend", "", `exact backend: "enum" (default), "lp" (linear-programming belief bounds; errors on queries outside the LP fragment) or "auto" (lp where supported, enum elsewhere) — results are byte-identical either way`)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "Usage: pakcheck {-system sys.json | -scenario spec | -sweep space} {-query query.json | -batch queries.json}\n")
-		fmt.Fprintf(stderr, "                [-dump] [-eps 1/10] [-delta 1/10] [-parallel N] [-stream] [-backend lp]\n\nFlags:\n")
+		fmt.Fprintf(stderr, "                [-dump] [-eps 1/10] [-delta 1/10] [-parallel N] [-stream]\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, `
 -query expands one constraint document into the full analysis battery;
@@ -121,15 +115,6 @@ samples, seed (integers). Same seed and budget => byte-identical
 estimates. With -sweep, -approx switches to the sampled-first envelope:
 assignments whose interval cannot reach the running min/max are pruned
 without exact evaluation (correct with probability >= 1 - N*delta).
-
--backend selects the exact engine answering the queries: "enum" walks
-every run (the default), "lp" answers belief/constraint/threshold
-queries over past-based facts by solving exact-rational linear programs
-over belief-class columns, and "auto" routes each query to lp where the
-fragment covers it. Both backends are exact and differentially tested:
-for any supported query they return byte-identical results, so -backend
-never changes an answer — "lp" merely rejects (exit 1) queries outside
-its fragment instead of falling back silently.
 `)
 	}
 	if err := fs.Parse(args); err != nil {
@@ -163,11 +148,6 @@ its fragment instead of falling back silently.
 		fmt.Fprintf(stderr, "pakcheck: -approx: %v\n", err)
 		return 2
 	}
-	backend, err := pak.ParseBackend(*backendStr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pakcheck: -backend: %v\n", err)
-		return 2
-	}
 	if approxSpec != nil && *sweepSpec == "" && *batchPath == "" {
 		fmt.Fprintln(stderr, "pakcheck: -approx applies to -batch and -sweep (the -query battery always reports exact values)")
 		return 2
@@ -182,9 +162,6 @@ its fragment instead of falling back silently.
 		opts := []pak.EvalOption{}
 		if *parallel > 0 {
 			opts = append(opts, pak.WithParallelism(*parallel))
-		}
-		if backend != pak.BackendEnum {
-			opts = append(opts, pak.WithBackend(backend))
 		}
 		if approxSpec != nil {
 			if err := sweepRunSampled(stdout, *sweepSpec, inner, *approxSpec, opts); err != nil {
@@ -241,9 +218,6 @@ its fragment instead of falling back silently.
 	}
 	if approxSpec != nil {
 		opts = append(opts, pak.WithApprox(*approxSpec))
-	}
-	if backend != pak.BackendEnum {
-		opts = append(opts, pak.WithBackend(backend))
 	}
 
 	if *batchPath != "" {

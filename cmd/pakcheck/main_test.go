@@ -569,69 +569,15 @@ func TestRunSweepModeHardFailuresExit(t *testing.T) {
 	}
 }
 
-// writeLPBatchFixture materializes a batch of queries inside the LP
-// fragment (past-based facts only) over the firing-squad system.
-func writeLPBatchFixture(t *testing.T) (systemPath, batchPath string) {
-	t.Helper()
-	systemPath, _ = writeFixtures(t)
-	heard := pak.Once(pak.LocalContains("Alice", "Yes"))
-	qs := []pak.Query{
-		pak.ConstraintQuery{Fact: heard, Agent: "Alice", Action: "fire", Threshold: pak.Rat(1, 2)},
-		pak.ThresholdQuery{Fact: heard, Agent: "Alice", Action: "fire", P: pak.Rat(1, 2)},
-		pak.BeliefQuery{Fact: pak.Not(pak.LocalContains("Alice", "never")), Agent: "Alice", Action: "fire"},
-	}
-	doc, err := pak.MarshalQueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchPath = filepath.Join(t.TempDir(), "lpbatch.json")
-	if err := os.WriteFile(batchPath, doc, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	return systemPath, batchPath
-}
-
-// TestRunBackendFlag: -backend lp and -backend auto render the exact
-// same report as the default enumeration backend (the differential
-// contract surfaced at the CLI), an unknown backend is a usage error,
-// and strict lp over a query outside the fragment exits 1 naming the
-// backend sentinel.
-func TestRunBackendFlag(t *testing.T) {
-	systemPath, batchPath := writeLPBatchFixture(t)
-
-	outputs := make(map[string]string)
-	for _, backend := range []string{"", "lp", "auto"} {
-		args := []string{"-system", systemPath, "-batch", batchPath, "-parallel", "1"}
-		if backend != "" {
-			args = append(args, "-backend", backend)
-		}
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("-backend %q exited %d: %s", backend, code, stderr.String())
-		}
-		outputs[backend] = stdout.String()
-	}
-	if outputs["lp"] != outputs[""] || outputs["auto"] != outputs[""] {
-		t.Errorf("backend reports differ:\nenum: %s\nlp:   %s\nauto: %s",
-			outputs[""], outputs["lp"], outputs["auto"])
-	}
-
+// TestRunBackendFlagRemoved: pakcheck has no -backend flag; passing
+// one is the ordinary undefined-flag usage error (exit 2).
+func TestRunBackendFlagRemoved(t *testing.T) {
+	systemPath, batchPath := writeBatchFixture(t)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-system", systemPath, "-batch", batchPath, "-backend", "quantum"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown backend exited %d, want 2: %s", code, stderr.String())
+	if code := run([]string{"-system", systemPath, "-batch", batchPath, "-backend", "lp"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-backend exited %d, want 2: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "unknown backend") {
-		t.Errorf("stderr does not name the bad backend: %s", stderr.String())
-	}
-
-	// The does-fact batch reads the future: strict lp must refuse it.
-	_, enumBatch := writeBatchFixture(t)
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-system", systemPath, "-batch", enumBatch, "-backend", "lp"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("strict lp over a future-reading batch exited %d, want 1:\n%s", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "backend does not support") {
-		t.Errorf("report does not carry the backend error:\n%s", stdout.String())
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -backend") {
+		t.Errorf("stderr does not name the undefined flag: %s", stderr.String())
 	}
 }

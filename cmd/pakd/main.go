@@ -27,13 +27,7 @@
 //	                           confidence interval) and a ciCovered
 //	                           self-check, and a deadline mid-refinement
 //	                           returns the standing estimates as a sound
-//	                           504 payload; an optional "backend" string
-//	                           ("enum"|"lp"|"auto") selects the exact
-//	                           engine — lp answers past-based belief,
-//	                           constraint and threshold queries by
-//	                           exact-rational linear programming, returns
-//	                           byte-identical results where supported, and
-//	                           strictly 400s anything outside its fragment
+//	                           504 payload
 //	POST /v1/eval/stream       the same request, answered as an NDJSON
 //	                           stream: one result frame per query the
 //	                           moment it finishes, closed by a terminal
@@ -53,11 +47,9 @@
 //	                           assignment with the running envelope, the
 //	                           terminal frame carrying the final one
 //	GET  /v1/stats             the engine cache's hit/miss/eviction
-//	                           counters, the per-backend evaluation
-//	                           counters ("backends": {"enum": N, "lp": N})
-//	                           and — with -store-dir — the persistent
-//	                           store's hit/miss/corrupt/write counters
-//	                           ("store": {...}) as JSON
+//	                           counters and — with -store-dir — the
+//	                           persistent store's hit/miss/corrupt/write
+//	                           counters ("store": {...}) as JSON
 //
 // Hardening knobs (see DESIGN.md "Service hardening" and "Streaming
 // results" for the contracts): -timeout bounds each eval request's wall
@@ -147,10 +139,6 @@ Examples:
   curl -s localhost:8371/v1/eval -d '{"systems":["nsquad(3)"],"queries":[...],"approx":{"eps":"1/10","delta":"1/100","seed":7}}'
                                   approx-first: seeded estimates with exact-rational
                                   confidence intervals, refined to exact in one response
-  curl -s localhost:8371/v1/eval -d '{"systems":["nsquad(3)"],"queries":[...],"backend":"lp"}'
-                                  answer via the LP backend (byte-identical results;
-                                  queries outside the LP fragment are 400s — use
-                                  "auto" to fall back to enumeration per query)
   go run ./cmd/pakload -url http://localhost:8371 -mix envelope -duration 30s
                                   drive the envelope endpoints with the load harness
 `)

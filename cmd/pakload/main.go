@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	pakload [-url http://host:8371] [-mix squad|mixed|heavy|stream|envelope|approx|lp]
+//	pakload [-url http://host:8371] [-mix squad|mixed|heavy|stream|envelope|approx]
 //	        [-c 8] [-n 200] [-duration 0] [-timeout 30s] [-seed 1]
 //	        [-engine-cache 8] [-eval-timeout 0] [-store-dir DIR]
 //	        [-stats-interval 0] [-cache-sweep 1,2,4,8] [-out report.json]
@@ -44,14 +44,6 @@
 // frame (carrying its exact-rational confidence interval) strictly
 // before the exact frame, approx-only requests answered by estimates
 // alone — plus the bad-spec 4xx probes.
-//
-// The "lp" mix drives the second exact backend: /v1/eval and
-// /v1/eval/stream requests carrying `"backend": "lp"` (answered by
-// exact-rational linear programs, byte-identical to enumeration on the
-// wire, so the standard validators apply unchanged), the strict
-// backend's designed 400 on a future-reading batch, and the stats read
-// picking up the per-backend counters. The report's per-scenario stats
-// carry a "backend" label for these entries.
 //
 // -stats-interval enables soak mode: the run samples the target's GET
 // /v1/stats on that cadence and records the trajectory (engine-cache
@@ -122,9 +114,6 @@ Examples:
   pakload -mix approx -n 200                drive the approximate tier: seeded
                                             estimates first, exact refinements after,
                                             validated per slot on the wire
-  pakload -mix lp -n 200                    drive the LP backend: lp-routed evals and
-                                            streams (byte-identical bodies), the strict
-                                            400 probe, per-backend counters in stats
   pakload -mix approx -duration 30s -stats-interval 1s
                                             soak: record the engine-cache counter
                                             trajectory alongside the latency report

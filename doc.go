@@ -42,15 +42,6 @@
 //     (the batch evaluators are consumers of the same stream); query
 //     lists serialize to JSON (MarshalQueryBatch, ParseQueryBatch) in
 //     the format the CLI tools and the pakd service exchange;
-//   - a second exact backend: WithBackend routes belief, constraint and
-//     threshold queries over past-based facts (CanSolveLP) to an
-//     independent engine solving exact-rational linear programs over
-//     belief-class columns instead of enumerating runs — BackendLP is
-//     strict (queries outside the fragment fail with
-//     ErrBackendUnsupported), BackendAuto falls back to enumeration per
-//     query, and both backends are differentially tested to
-//     byte-identical wire results on the whole fragment (experiment
-//     E18; pakcheck -backend; the service's "backend" request knob);
 //   - scenarios by name: the registry (Scenarios, BuildScenario) resolves
 //     compact specs — "fsquad", "nsquad(5)", "random(seed=42)" — to
 //     systems with validated, defaulted parameters; space-valued specs
@@ -139,8 +130,8 @@
 // (provably overflow-free, since every event sum is bounded by D),
 // falling back to big.Int otherwise — and conditional measures fuse
 // both sums into one pass with D cancelling; results are byte-identical
-// to the naive per-run fold, which the property tests and the
-// two-backend differential harness pin. See DESIGN.md
+// to the naive per-run fold, which the kernel ≡ naive property tests
+// pin. See DESIGN.md
 // for the architecture, EXPERIMENTS.md for the paper-vs-measured record,
 // and SCENARIOS.md for the scenario catalog.
 package pak

@@ -20,7 +20,7 @@
 // Evaluation here is self-contained (no engine cache): each Holds call
 // computes the conditional measure from the system by rescanning the runs
 // through the agent's local state. That is the path for engine-free
-// callers (the Monte-Carlo sampler, the LP backend, direct Holds calls)
+// callers (the Monte-Carlo sampler, direct Holds calls)
 // and the oracle the engine is tested against. When core.Engine scans a
 // fact, it does not call these Holds methods: it rebuilds the fact from
 // its spec (logic.FromSpec) with operators bound to its own memo tables,

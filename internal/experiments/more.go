@@ -394,7 +394,6 @@ func Builders(systems, samples int, seed int64) []func() (Result, error) {
 		E15QueryBatch,
 		E16RegistryMultiBatch,
 		E17EvictionEquivalence,
-		E18DifferentialBackends,
 		E19StructureSharing,
 	}
 }

@@ -67,12 +67,6 @@ type Scenario struct {
 	// deadline/cancelled); for a buffered /v1/envelope 200 body, a fully
 	// visited envelope. Violations classify as "bad_stream".
 	CheckEnvelope bool `json:"checkEnvelope,omitempty"`
-	// Backend labels the exact backend this scenario's body requests
-	// ("lp", "auto"; empty = enumeration). Purely descriptive — the
-	// routing lives in the body's "backend" knob — but carried into the
-	// report's per-scenario stats so a mix's backend split is visible in
-	// the accounting.
-	Backend string `json:"backend,omitempty"`
 	// CheckApproxStream requires the response body to be a well-formed
 	// approximate-tier NDJSON stream: slots may emit up to two frames
 	// (stage "approx" strictly before stage "exact", never duplicated),
@@ -207,10 +201,6 @@ func FetchServerStats(client *http.Client, baseURL string) (json.RawMessage, err
 type ScenarioStats struct {
 	Requests int            `json:"requests"`
 	Outcomes map[string]int `json:"outcomes"`
-	// Backend echoes the scenario's backend label ("lp", "auto"; absent
-	// = enumeration), so a report shows which slices of the traffic the
-	// second exact backend answered.
-	Backend string `json:"backend,omitempty"`
 }
 
 // LatencySummary carries the distribution stats plus a fixed log-scale
@@ -522,13 +512,6 @@ func summarize(cfg Config, workers int, all []sample, elapsed time.Duration) *Re
 		rep.Throughput = float64(len(all)) / elapsed.Seconds()
 	}
 
-	backendOf := make(map[string]string, len(cfg.Mix))
-	for _, sc := range cfg.Mix {
-		if sc.Backend != "" {
-			backendOf[sc.Name] = sc.Backend
-		}
-	}
-
 	latencies := make([]float64, 0, len(all))
 	var coldMS, warmMS []float64
 	for _, s := range all {
@@ -543,7 +526,7 @@ func summarize(cfg Config, workers int, all []sample, elapsed time.Duration) *Re
 		}
 		st := rep.Scenarios[s.scenario]
 		if st == nil {
-			st = &ScenarioStats{Outcomes: make(map[string]int), Backend: backendOf[s.scenario]}
+			st = &ScenarioStats{Outcomes: make(map[string]int)}
 			rep.Scenarios[s.scenario] = st
 		}
 		st.Requests++

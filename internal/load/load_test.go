@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,72 +304,23 @@ func TestLoadSmokeEnvelope(t *testing.T) {
 	}
 }
 
-// TestLoadSmokeLP is the second-backend gate, run under -race in
-// make load-smoke: the lp mix (lp-routed buffered and streamed evals —
-// byte-identical to enumeration on the wire, so the standard validators
-// hold — plus the strict backend's designed 400 probe) against the
-// eviction-sized in-process pakd. Beyond the clean taxonomy it asserts
-// the routing actually happened: the per-scenario stats carry the
-// backend label, and the server's per-backend counters show lp slots.
-func TestLoadSmokeLP(t *testing.T) {
-	ts := stressServer(t)
-	requests := 120
-	concurrency := 8
-	if testing.Short() {
-		requests, concurrency = 48, 4
+// TestBuiltinMixLPRemoved: there is no lp mix; asking for it is the
+// ordinary unknown-mix error, which names every mix that exists.
+func TestBuiltinMixLPRemoved(t *testing.T) {
+	_, err := BuiltinMix("lp")
+	if err == nil {
+		t.Fatal(`BuiltinMix("lp") succeeded`)
 	}
-	mix, err := BuiltinMix("lp")
-	if err != nil {
-		t.Fatal(err)
+	msg := err.Error()
+	if !strings.Contains(msg, `unknown mix "lp"`) {
+		t.Errorf("error %q is not the unknown-mix error", msg)
 	}
-	rep, err := Run(context.Background(), Config{
-		BaseURL:     ts.URL,
-		Concurrency: concurrency,
-		Requests:    requests,
-		Timeout:     time.Minute,
-		Seed:        1,
-		Mix:         mix,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != requests {
-		t.Errorf("completed %d requests, want %d", rep.Total, requests)
-	}
-	if rep.OK != rep.Total {
-		t.Errorf("lp taxonomy not clean: ok=%d of %d, errors=%v", rep.OK, rep.Total, rep.Errors)
-	}
-	if n := rep.Outcomes[outcomeBadStream]; n > 0 {
-		t.Errorf("%d lp streams violated the frame contract", n)
-	}
-	for _, name := range []string{"lp-eval-nsquad2", "lp-stream-nsquad2", "err-lp-unsupported"} {
-		st := rep.Scenarios[name]
-		if st == nil || st.Requests == 0 {
-			t.Errorf("scenario %s never ran", name)
-			continue
+	for _, name := range MixNames() {
+		if name == "lp" {
+			t.Fatal("MixNames still lists lp")
 		}
-		if st.Backend != "lp" {
-			t.Errorf("scenario %s backend label = %q, want \"lp\"", name, st.Backend)
+		if !strings.Contains(msg, name) {
+			t.Errorf("error %q does not list the mix %q", msg, name)
 		}
-	}
-
-	// The server must have counted lp slots: the mix's eval bodies route
-	// every accepted slot through the LP engine, and the rejected strict
-	// probe counts nothing.
-	stats, err := FetchServerStats(nil, ts.URL)
-	if err != nil {
-		t.Fatalf("stats snapshot: %v", err)
-	}
-	var doc struct {
-		Backends struct {
-			Enum int64 `json:"enum"`
-			LP   int64 `json:"lp"`
-		} `json:"backends"`
-	}
-	if err := json.Unmarshal(stats, &doc); err != nil {
-		t.Fatalf("stats document: %v", err)
-	}
-	if doc.Backends.LP == 0 {
-		t.Errorf("server counted no lp slots: %s", stats)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"pak/internal/epistemic"
 	"pak/internal/logic"
 	"pak/internal/query"
 	"pak/internal/randsys"
@@ -30,7 +29,7 @@ import (
 
 // MixNames lists the built-in mixes.
 func MixNames() []string {
-	return []string{"squad", "mixed", "heavy", "stream", "envelope", "approx", "lp"}
+	return []string{"squad", "mixed", "heavy", "stream", "envelope", "approx"}
 }
 
 // BuiltinMix returns the named mix, or an error naming the valid set.
@@ -48,8 +47,6 @@ func BuiltinMix(name string) ([]Scenario, error) {
 		return envelopeMix()
 	case "approx":
 		return approxMix()
-	case "lp":
-		return lpMix()
 	default:
 		return nil, fmt.Errorf("load: unknown mix %q (have %v)", name, MixNames())
 	}
@@ -272,82 +269,6 @@ func approxMix() ([]Scenario, error) {
 		{Name: "err-approx-bad-delta", Path: "/v1/eval",
 			Body:   []byte(`{"systems": ["nsquad(2)"], "queries": [], "approx": {"samples": 16, "delta": "2"}}`),
 			Weight: 1, ExpectStatus: http.StatusBadRequest, CheckJSON: true},
-		{Name: "stats", Path: "/v1/stats", Weight: 1,
-			ExpectStatus: http.StatusOK, CheckJSON: true},
-	}, nil
-}
-
-// lpEvalBody renders a /v1/eval request body carrying an LP-supported
-// batch — belief, constraint and threshold queries over the epistemic
-// condition "the General believes (≥ p) that all n soldiers fire" —
-// with the "backend":"lp" knob spliced in. Belief facts are past-based
-// regardless of what they wrap (belief at a point is a function of the
-// local state alone), so the strict lp backend accepts every slot.
-func lpEvalBody(n int, systems ...string) ([]byte, error) {
-	believed := epistemic.Believes(scenarios.General, ratutil.R(1, 2), scenarios.AllFireFact(n))
-	batch, err := query.MarshalBatch([]query.Query{
-		query.ConstraintQuery{Fact: believed, Agent: scenarios.General,
-			Action: scenarios.ActFire, Threshold: ratutil.R(1, 2)},
-		query.ThresholdQuery{Fact: believed, Agent: scenarios.General,
-			Action: scenarios.ActFire, P: ratutil.R(1, 2)},
-		query.BeliefQuery{Fact: believed, Agent: scenarios.General, Action: scenarios.ActFire},
-	})
-	if err != nil {
-		return nil, err
-	}
-	doc := []byte(`{"systems": [`)
-	for i, s := range systems {
-		if i > 0 {
-			doc = append(doc, ',')
-		}
-		doc = append(doc, fmt.Sprintf("%q", s)...)
-	}
-	doc = append(doc, `], "queries": `...)
-	doc = append(doc, batch...)
-	doc = append(doc, `, "backend": "lp"}`...)
-	return doc, nil
-}
-
-// lpMix drives the LP backend end to end: buffered and streamed evals
-// whose every slot is answered by exact-rational linear programs (the
-// responses are byte-identical to enumeration's, so CheckJSON and the
-// stream validator apply unchanged), the strict backend's deliberate
-// 400 on a future-reading batch, and the stats read picking up the
-// per-backend counters. Each scenario labels itself with the backend so
-// the report's per-scenario stats carry the routing.
-func lpMix() ([]Scenario, error) {
-	two, err := lpEvalBody(2, "nsquad(2)")
-	if err != nil {
-		return nil, err
-	}
-	three, err := lpEvalBody(3, "nsquad(3)")
-	if err != nil {
-		return nil, err
-	}
-	fan, err := lpEvalBody(2, "nsquad(2)", "nsquad(n=2,loss=1/10)", "fsquad")
-	if err != nil {
-		return nil, err
-	}
-	// A does-fact reads the future: outside the LP fragment, so the
-	// strict backend must answer the designed 400.
-	unsupported, err := evalBody(2, "nsquad(2)")
-	if err != nil {
-		return nil, err
-	}
-	unsupported = unsupported[:len(unsupported)-1]
-	unsupported = append(unsupported, `, "backend": "lp"}`...)
-	return []Scenario{
-		// lpEvalBody carries 3 queries; the fan-out names 3 systems.
-		{Name: "lp-eval-nsquad2", Path: "/v1/eval", Body: two, Weight: 3,
-			ExpectStatus: http.StatusOK, CheckJSON: true, Backend: "lp"},
-		{Name: "lp-eval-nsquad3", Path: "/v1/eval", Body: three, Weight: 2,
-			ExpectStatus: http.StatusOK, CheckJSON: true, Backend: "lp"},
-		{Name: "lp-stream-nsquad2", Path: "/v1/eval/stream", Body: two, Weight: 2,
-			ExpectStatus: http.StatusOK, CheckStream: true, ExpectFrames: 3, Backend: "lp"},
-		{Name: "lp-stream-fanout", Path: "/v1/eval/stream", Body: fan, Weight: 2,
-			ExpectStatus: http.StatusOK, CheckStream: true, ExpectFrames: 9, Backend: "lp"},
-		{Name: "err-lp-unsupported", Path: "/v1/eval", Body: unsupported, Weight: 1,
-			ExpectStatus: http.StatusBadRequest, CheckJSON: true, Backend: "lp"},
 		{Name: "stats", Path: "/v1/stats", Weight: 1,
 			ExpectStatus: http.StatusOK, CheckJSON: true},
 	}, nil

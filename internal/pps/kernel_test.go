@@ -33,11 +33,6 @@ func checkKernelAgainstNaive(t *testing.T, sys *System, a, b *runset.Set, label 
 	if got, want := sys.MeasureIntersect(a, b).RatString(), sys.MeasureNaive(a.Intersect(b)).RatString(); got != want {
 		t.Fatalf("%s: MeasureIntersect = %s, naive %s", label, got, want)
 	}
-	var runs []int
-	a.ForEach(func(r int) bool { runs = append(runs, r); return true })
-	if got, want := sys.MeasureRuns(runs).RatString(), sys.MeasureNaive(a).RatString(); got != want {
-		t.Fatalf("%s: MeasureRuns = %s, naive %s", label, got, want)
-	}
 	cond, okC := sys.Cond(a, b)
 	wantCond, wantOK := naiveCond(sys, a, b)
 	if okC != wantOK {

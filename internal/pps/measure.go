@@ -147,26 +147,6 @@ func (s *System) MeasureNaive(ev *runset.Set) *big.Rat {
 	return total
 }
 
-// MeasureRuns returns the total prior probability of an explicit run
-// list (runs must be distinct): the kernel's integer sum over a slice
-// instead of a bitset, used by the LP backend's belief-class column
-// sums. One final reduction, like Measure.
-func (s *System) MeasureRuns(rs []int) *big.Rat {
-	k := s.measureKernel()
-	if k.nums64 != nil {
-		var total uint64
-		for _, r := range rs {
-			total += k.nums64[r]
-		}
-		return k.rat64(total)
-	}
-	acc := new(big.Int)
-	for _, r := range rs {
-		acc.Add(acc, k.numsBig[r])
-	}
-	return new(big.Rat).SetFrac(acc, k.denom)
-}
-
 // MeasureIntersect returns µ_T(a ∩ b) without materializing the
 // intersection: the word walk masks a's words with b's on the fly.
 func (s *System) MeasureIntersect(a, b *runset.Set) *big.Rat {

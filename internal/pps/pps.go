@@ -112,11 +112,6 @@ type System struct {
 	occ      map[localKey]occInfo
 	maxTime  int
 
-	// floatOnce/floatProbs lazily cache the float64 view of runPr for the
-	// MeasureFloat fast path.
-	floatOnce  sync.Once
-	floatProbs []float64
-
 	// kernelOnce/kernel lazily cache the exact-arithmetic measure kernel:
 	// the shared-denominator integer view of runPr that Measure, Cond and
 	// the fused set-measure ops sum over (see measure.go).

@@ -98,7 +98,7 @@ func EvalEnvelopeSampled(q EnvelopeQuery, spec ApproxSpec, opts ...Option) (Samp
 		// whatever cache backs the source (service sources are memoized).
 		if ctxErr(cfg.ctx, q.Inner) == nil {
 			var err error
-			mat, _, model, err = st.resolve(cfg)
+			mat, model, err = st.resolve(cfg)
 			if err != nil {
 				ests[i], coarseErrs[i] = nil, err
 				return

@@ -56,9 +56,6 @@ type config struct {
 	// approx, when set, enables the approximate tier (see WithApprox
 	// and approx.go). It is normalized once per stream in streamItems.
 	approx *ApproxSpec
-	// backend selects the evaluation engine (see WithBackend); the zero
-	// value is normalized to BackendEnum in newConfig.
-	backend Backend
 }
 
 // newConfig applies the options over the defaults shared by the batch
@@ -75,9 +72,6 @@ func newConfig(opts []Option) config {
 	}
 	if cfg.ctx == nil {
 		cfg.ctx = context.Background()
-	}
-	if cfg.backend == "" {
-		cfg.backend = BackendEnum
 	}
 	return cfg
 }

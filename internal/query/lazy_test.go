@@ -3,7 +3,7 @@ package query_test
 // The lazy-engine differential: a MultiItem whose engine arrives
 // through a Source must be indistinguishable on the wire from the same
 // item with the engine prebuilt — every mode (serial, parallel,
-// streamed), every backend (enum, lp), every registry scenario. The
+// streamed), every registry scenario. The
 // deadline tests pin the other half of the contract: a deadline
 // mid-build cuts unbuilt items without spending their build, the cut is
 // ctx-classed (an envelope counts the assignment as not visited), and
@@ -87,7 +87,7 @@ func lazyTwin(eager []query.MultiItem) ([]query.MultiItem, []*atomic.Int64) {
 
 // TestLazyMatchesEagerEverywhere is the differential gate of the lazy
 // contract: for every registry scenario's differential instances,
-// {serial, parallel, streamed} × {enum, lp} over a two-item batch, the
+// {serial, parallel, streamed} over a two-item batch, the
 // Source-backed evaluation returns byte-identical ResultDoc JSON to the
 // prebuilt-engine evaluation, and every source resolves exactly once.
 func TestLazyMatchesEagerEverywhere(t *testing.T) {
@@ -106,30 +106,28 @@ func TestLazyMatchesEagerEverywhere(t *testing.T) {
 					{Engine: core.New(sys), Queries: qs[:3]},
 				}
 
-				for _, backend := range []query.Backend{query.BackendEnum, query.BackendLP} {
-					for _, par := range []int{1, 4} {
-						mode := fmt.Sprintf("backend=%s/par=%d", backend, par)
-						opts := []query.Option{query.WithParallelism(par), query.WithBackend(backend)}
-						want, _ := query.MultiBatch(eager, opts...)
-						lazy, counts := lazyTwin(eager)
-						got, _ := query.MultiBatch(lazy, opts...)
-						compareGrids(t, mode, wireGrid(t, got), wireGrid(t, want))
-						for i, n := range counts {
-							if n.Load() != 1 {
-								t.Errorf("%s: item %d source resolved %d times, want exactly once", mode, i, n.Load())
-							}
-						}
-					}
-					mode := fmt.Sprintf("backend=%s/streamed", backend)
-					opts := []query.Option{query.WithParallelism(4), query.WithBackend(backend)}
-					want := multiStreamWire(t, eager, opts...)
+				for _, par := range []int{1, 4} {
+					mode := fmt.Sprintf("par=%d", par)
+					opts := []query.Option{query.WithParallelism(par)}
+					want, _ := query.MultiBatch(eager, opts...)
 					lazy, counts := lazyTwin(eager)
-					got := multiStreamWire(t, lazy, opts...)
-					compareGrids(t, mode, got, want)
+					got, _ := query.MultiBatch(lazy, opts...)
+					compareGrids(t, mode, wireGrid(t, got), wireGrid(t, want))
 					for i, n := range counts {
 						if n.Load() != 1 {
 							t.Errorf("%s: item %d source resolved %d times, want exactly once", mode, i, n.Load())
 						}
+					}
+				}
+				mode := "streamed"
+				opts := []query.Option{query.WithParallelism(4)}
+				want := multiStreamWire(t, eager, opts...)
+				lazy, counts := lazyTwin(eager)
+				got := multiStreamWire(t, lazy, opts...)
+				compareGrids(t, mode, got, want)
+				for i, n := range counts {
+					if n.Load() != 1 {
+						t.Errorf("%s: item %d source resolved %d times, want exactly once", mode, i, n.Load())
 					}
 				}
 			})

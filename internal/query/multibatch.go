@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"pak/internal/core"
-	"pak/internal/lpengine"
 	"pak/internal/montecarlo"
 )
 
@@ -32,11 +31,10 @@ import (
 //     each prefixed with its (system, query) coordinates, and is nil
 //     only when every query on every system succeeded.
 
-// Engines bundles the evaluation backends one item resolves to: the
-// exact enumeration engine (required), plus the optional prebuilt
-// sampling model and LP engine a warm cache can inject. It is what an
-// EngineSource yields and what an eager MultiItem's Engine/Model/LP
-// fields denote.
+// Engines bundles what one item resolves to: the exact engine
+// (required), plus the optional prebuilt sampling model a warm cache
+// can inject. It is what an EngineSource yields and what an eager
+// MultiItem's Engine/Model fields denote.
 type Engines struct {
 	// Engine is the evaluation target; nil fails the item's slots with
 	// the usual nil-engine error.
@@ -44,9 +42,6 @@ type Engines struct {
 	// Model optionally carries a prebuilt sampling model (see
 	// MultiItem.Model); nil lets the stream build one on demand.
 	Model *montecarlo.Model
-	// LP optionally carries a prebuilt LP-backend engine (see
-	// MultiItem.LP); nil lets the stream build one on demand.
-	LP *lpengine.Engine
 }
 
 // EngineSource resolves an item's engines on demand — the lazy half of
@@ -68,7 +63,7 @@ type EngineSource func(ctx context.Context) (Engines, error)
 type MultiItem struct {
 	// Engine is the evaluation target (its memoization is shared by the
 	// item's queries, and by any other MultiItem holding the same engine).
-	// When Source is set, Engine (with Model and LP) is ignored: the
+	// When Source is set, Engine (with Model) is ignored: the
 	// eager fields are just the trivial source.
 	Engine *core.Engine
 	// Source, when non-nil, resolves the item's engines on first use.
@@ -86,13 +81,6 @@ type MultiItem struct {
 	// memoized in its EngineCache here, so repeated approx requests
 	// against a cached engine never rebuild the sampling tables.
 	Model *montecarlo.Model
-	// LP optionally carries a prebuilt LP-backend engine (see
-	// WithBackend); nil means the stream builds one on demand when the
-	// backend routes any of the item's queries to it. The enumeration
-	// backend ignores it. The service layer injects the engine memoized
-	// in its EngineCache here, so repeated lp-backend requests against a
-	// cached system never rebuild the class indexes.
-	LP *lpengine.Engine
 }
 
 // MultiBatch evaluates every item's query batch against that item's

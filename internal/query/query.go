@@ -201,24 +201,16 @@ func (q BeliefQuery) validate() error {
 }
 
 func (q BeliefQuery) eval(ctx context.Context, e *core.Engine) (Result, error) {
-	// Warm the φ@ℓ extension under the request context before the
-	// backend-generic body: the scan is the dominant cost, the ctx-bound
-	// variant can abort mid-scan at a deadline, and a completed scan is
-	// memoized so evalOn reuses it — evaluation never runs the scan
-	// twice, and never runs it past the context's expiry.
+	res := Result{Kind: q.Kind(), Query: q.String()}
 	if q.Local != "" {
+		// Warm the φ@ℓ extension under the request context first: the
+		// scan is the dominant cost, the ctx-bound variant can abort
+		// mid-scan at a deadline, and a completed scan is memoized so
+		// Belief reuses it — evaluation never runs the scan twice, and
+		// never runs it past the context's expiry.
 		if _, err := e.FactAtLocalCtx(ctx, q.Fact, q.Agent, q.Local); err != nil && core.IsContextErr(err) {
 			return Result{}, err
 		}
-	}
-	return q.evalOn(ctx, e)
-}
-
-// evalOn is the backend-generic body: both engines answer through the
-// beliefSolver surface, so enum and lp results share one assembly path.
-func (q BeliefQuery) evalOn(_ context.Context, e beliefSolver) (Result, error) {
-	res := Result{Kind: q.Kind(), Query: q.String()}
-	if q.Local != "" {
 		bel, err := e.Belief(q.Fact, q.Agent, q.Local)
 		if err != nil {
 			return Result{}, err
@@ -284,17 +276,12 @@ func (q ConstraintQuery) validate() error {
 func (q ConstraintQuery) eval(ctx context.Context, e *core.Engine) (Result, error) {
 	// Warm the φ@α extension under the request context (see
 	// BeliefQuery.eval): a deadline aborts the scan mid-run, a completed
-	// scan is memoized for evalOn's ConstraintProb and FactAtAction.
-	// Non-context errors fall through to evalOn so domain failures keep
-	// their single reporting path.
+	// scan is memoized for ConstraintProb and FactAtAction below.
+	// Non-context errors fall through so domain failures keep their
+	// single reporting path.
 	if _, err := e.FactAtActionCtx(ctx, q.Fact, q.Agent, q.Action); err != nil && core.IsContextErr(err) {
 		return Result{}, err
 	}
-	return q.evalOn(ctx, e)
-}
-
-// evalOn is the backend-generic body shared by both engines.
-func (q ConstraintQuery) evalOn(_ context.Context, e beliefSolver) (Result, error) {
 	mu, err := e.ConstraintProb(q.Fact, q.Agent, q.Action)
 	if err != nil {
 		return Result{}, err
@@ -391,12 +378,7 @@ func (q ThresholdQuery) validate() error {
 	return nil
 }
 
-func (q ThresholdQuery) eval(ctx context.Context, e *core.Engine) (Result, error) {
-	return q.evalOn(ctx, e)
-}
-
-// evalOn is the backend-generic body shared by both engines.
-func (q ThresholdQuery) evalOn(_ context.Context, e beliefSolver) (Result, error) {
+func (q ThresholdQuery) eval(_ context.Context, e *core.Engine) (Result, error) {
 	tm, err := e.ThresholdMeasure(q.Fact, q.Agent, q.Action, q.P)
 	if err != nil {
 		return Result{}, err

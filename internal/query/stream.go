@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"pak/internal/core"
-	"pak/internal/lpengine"
 	"pak/internal/montecarlo"
 )
 
@@ -150,7 +149,6 @@ func streamItems(items []MultiItem, cfg config) <-chan Frame {
 			sys, q := units[u].sys, units[u].q
 			st := &states[sys]
 			mat := MultiItem{Queries: st.item.Queries}
-			var lp *lpengine.Engine
 			var model *montecarlo.Model
 			// The context check precedes resolution so a dead context
 			// never triggers an engine build; the unresolved view's nil
@@ -158,18 +156,18 @@ func streamItems(items []MultiItem, cfg config) <-chan Frame {
 			// both check the context before touching the engine.
 			if ctxErr(cfg.ctx, st.item.Queries[q]) == nil {
 				var err error
-				mat, lp, model, err = st.resolve(cfg)
+				mat, model, err = st.resolve(cfg)
 				if err != nil {
 					failSlot(out, st.item.Queries[q], sys, q, cfg, err)
 					return
 				}
 			}
 			if cfg.approx == nil {
-				res, _ := evalSlot(mat, lp, q, cfg)
+				res, _ := evalSlot(mat, q, cfg)
 				out <- Frame{System: sys, Index: q, Result: res}
 				return
 			}
-			streamApproxSlot(out, mat, model, lp, sys, q, cfg)
+			streamApproxSlot(out, mat, model, sys, q, cfg)
 		})
 		status, cause := statusOf(cfg.ctx)
 		out <- Frame{Status: status, Err: cause}
@@ -179,24 +177,23 @@ func streamItems(items []MultiItem, cfg config) <-chan Frame {
 
 // itemState is one item's resolution cell: the first worker to reach
 // one of the item's slots (with a live context) resolves the engines —
-// calling the Source at most once, then deriving the per-item LP engine
-// and sampling model the eager path used to prebuild — and every later
-// worker shares the outcome.
+// calling the Source at most once, then deriving the per-item sampling
+// model the eager path used to prebuild — and every later worker shares
+// the outcome.
 type itemState struct {
 	item *MultiItem
 
 	once  sync.Once
 	mat   MultiItem // materialized view: resolved engines + the queries
-	lp    *lpengine.Engine
 	model *montecarlo.Model
 	err   error // classified source error (see classifySourceErr)
 }
 
 // resolve materializes the item. Safe for concurrent use; the source
 // runs at most once and its classified error is shared by every slot.
-func (st *itemState) resolve(cfg config) (MultiItem, *lpengine.Engine, *montecarlo.Model, error) {
+func (st *itemState) resolve(cfg config) (MultiItem, *montecarlo.Model, error) {
 	st.once.Do(func() {
-		eng := Engines{Engine: st.item.Engine, Model: st.item.Model, LP: st.item.LP}
+		eng := Engines{Engine: st.item.Engine, Model: st.item.Model}
 		if st.item.Source != nil {
 			eng, st.err = st.item.Source(cfg.ctx)
 			if st.err != nil {
@@ -205,19 +202,9 @@ func (st *itemState) resolve(cfg config) (MultiItem, *lpengine.Engine, *montecar
 				return
 			}
 		}
-		st.mat = MultiItem{Engine: eng.Engine, Queries: st.item.Queries, Model: eng.Model, LP: eng.LP}
-		// Under an lp/auto backend each item gets one LP engine for its
-		// lifetime (class indexes memoize per engine, exactly like the
-		// enumeration engine's caches), honoring an injected one; same
-		// for the approximate tier's sampling model.
-		if cfg.backend != BackendEnum {
-			switch {
-			case eng.LP != nil:
-				st.lp = eng.LP
-			case eng.Engine != nil && anyLPRouted(st.item.Queries, cfg.backend):
-				st.lp = lpengine.New(eng.Engine.System())
-			}
-		}
+		st.mat = MultiItem{Engine: eng.Engine, Queries: st.item.Queries, Model: eng.Model}
+		// Under the approximate tier each item gets one sampling model
+		// for its lifetime, honoring an injected one.
 		if cfg.approx != nil {
 			switch {
 			case eng.Model != nil:
@@ -227,7 +214,7 @@ func (st *itemState) resolve(cfg config) (MultiItem, *lpengine.Engine, *montecar
 			}
 		}
 	})
-	return st.mat, st.lp, st.model, st.err
+	return st.mat, st.model, st.err
 }
 
 // classifySourceErr fixes a source failure's error class for the slots
@@ -287,7 +274,7 @@ func anyApproxable(qs []Query) bool {
 //     in which case the approx frame stands as the slot's final, sound
 //     answer and no exact frame is emitted (a deadline mid-refinement
 //     must never overwrite a sound estimate with an error).
-func streamApproxSlot(out chan<- Frame, item MultiItem, model *montecarlo.Model, lp *lpengine.Engine, sys, q int, cfg config) {
+func streamApproxSlot(out chan<- Frame, item MultiItem, model *montecarlo.Model, sys, q int, cfg config) {
 	var est *Estimate
 	if CanApprox(item.Queries[q]) {
 		ares := evalApproxSlot(item, model, sys, q, cfg)
@@ -302,7 +289,7 @@ func streamApproxSlot(out chan<- Frame, item MultiItem, model *montecarlo.Model,
 			gate(cfg.ctx, sys, q)
 		}
 	}
-	res, _ := evalSlot(item, lp, q, cfg)
+	res, _ := evalSlot(item, q, cfg)
 	if est != nil {
 		if ctxAborted(res.Err) {
 			return
@@ -316,11 +303,9 @@ func streamApproxSlot(out chan<- Frame, item MultiItem, model *montecarlo.Model,
 
 // evalSlot evaluates one (item, query) slot under the batch config: the
 // context check first (so a dead context fails the slot with the cause,
-// never touching the engine), then backend routing — strict lp fails
-// unsupported shapes in their slots with ErrBackendUnsupported, auto
-// falls them through to enumeration — then the chosen engine, cold when
-// the batch disabled cache sharing.
-func evalSlot(item MultiItem, lp *lpengine.Engine, q int, cfg config) (Result, error) {
+// never touching the engine), then the engine, cold when the batch
+// disabled cache sharing.
+func evalSlot(item MultiItem, q int, cfg config) (Result, error) {
 	qu := item.Queries[q]
 	if err := ctxErr(cfg.ctx, qu); err != nil {
 		return Result{Kind: kindOf(qu), Query: stringOf(qu), Err: err}, err
@@ -328,23 +313,6 @@ func evalSlot(item MultiItem, lp *lpengine.Engine, q int, cfg config) (Result, e
 	if item.Engine == nil {
 		err := errors.New("query: nil engine")
 		return Result{Err: err}, err
-	}
-	if cfg.backend == BackendLP || cfg.backend == BackendAuto {
-		if CanSolveLP(qu) {
-			target := lp
-			if target == nil || !cfg.cache {
-				target = lpengine.New(item.Engine.System())
-			}
-			res, err := evalLPCtx(cfg.ctx, target, qu)
-			if err != nil && res.Err == nil {
-				res.Err = err
-			}
-			return res, err
-		}
-		if cfg.backend == BackendLP {
-			err := unsupportedErr(qu)
-			return Result{Kind: kindOf(qu), Query: stringOf(qu), Err: err}, err
-		}
 	}
 	target := item.Engine
 	if !cfg.cache {

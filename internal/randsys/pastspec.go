@@ -17,9 +17,8 @@ import (
 // of their inner fact, which may even mention the future).
 //
 // Unlike PastFact — whose node labelling is past-based by construction
-// but opaque (logic.Atom, no spec) — these facts pass the query layer's
-// CanSolveLP gate, so they drive the two-backend differential fuzz
-// harness through the LP routing path end to end.
+// but opaque (logic.Atom, no spec) — these facts carry a spec, so they
+// reach the engine's spec-keyed memo paths that opaque facts bypass.
 func StructuredPastFact(sys *pps.System, seed int64) logic.Fact {
 	rng := rand.New(rand.NewSource(seed))
 	return structuredPast(sys, rng, 2)

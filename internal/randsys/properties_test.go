@@ -156,25 +156,3 @@ func TestQuickKnowledgeImpliesBelief(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickMeasureFloatTracksExact: the float fast path stays within
-// rounding distance of the exact measure on random events.
-func TestQuickMeasureFloatTracksExact(t *testing.T) {
-	f := func(sysSeed, factSeed int64) bool {
-		sys, err := Generate(Default(sysSeed % 10_000))
-		if err != nil {
-			return false
-		}
-		ev := logic.RunsSatisfying(sys, RunFact(sys, factSeed))
-		exact := ratutil.Float(sys.Measure(ev))
-		got := sys.MeasureFloat(ev)
-		diff := exact - got
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -62,7 +62,7 @@ func (r *Registry) Markdown() string {
 			}
 		}
 		if len(s.Differential) > 0 {
-			fmt.Fprintf(&b, "Differential instances (cross-checked enum vs lp on every CI run): `%s`.\n\n",
+			fmt.Fprintf(&b, "Differential instances (lazy ≡ eager engines and kernel ≡ naive measures, checked on every CI run): `%s`.\n\n",
 				strings.Join(s.Differential, "`, `"))
 		}
 	}

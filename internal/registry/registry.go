@@ -71,14 +71,15 @@ type Scenario struct {
 	// envelope requests. Register validates that it parses and names
 	// this scenario.
 	Sweep string `json:"sweep,omitempty"`
-	// Differential lists the spec instances the two-backend differential
-	// harness evaluates for this scenario: internal/query's
-	// TestBackendsAgree builds each one and requires the enumeration and
-	// LP backends to return byte-identical results over every supported
-	// query shape on it. Register validates that each entry parses,
+	// Differential lists the spec instances the differential tests
+	// evaluate for this scenario: internal/query's
+	// TestLazyMatchesEagerEverywhere requires source-built engines to
+	// answer byte-identically to prebuilt ones over a standard query
+	// batch on each, and the root kernel ≡ naive sweep checks the
+	// measure kernel on each. Register validates that each entry parses,
 	// names this scenario and binds its declared parameters; the catalog
 	// and GET /v1/scenarios advertise the list so new scenarios are
-	// visibly expected to enroll in the cross-check.
+	// visibly expected to enroll in the cross-checks.
 	Differential []string `json:"differential,omitempty"`
 	// Build constructs the system from validated arguments. It is never
 	// nil for a registered scenario and is not serialized.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"pak/internal/core"
-	"pak/internal/lpengine"
 	"pak/internal/montecarlo"
 )
 
@@ -51,9 +50,6 @@ type cacheEntry struct {
 
 	modelOnce sync.Once
 	model     *montecarlo.Model
-
-	lpOnce sync.Once
-	lp     *lpengine.Engine
 }
 
 // buildCall is one in-flight singleflight build; waiters block on done.
@@ -165,28 +161,6 @@ func (c *EngineCache) ModelFor(key string) (*montecarlo.Model, bool) {
 		entry.model = montecarlo.NewModel(entry.engine.System())
 	})
 	return entry.model, true
-}
-
-// LPFor returns the LP engine memoized alongside the engine cached
-// under key, building it on first use — the lp-backend analogue of
-// ModelFor. It reports false when the key is not retained; the query
-// layer then builds a per-request LP engine, so cache warmth affects
-// only speed, never results (both paths are exact and differentially
-// tested). The build runs outside the cache lock under the entry's own
-// sync.Once, and eviction drops engine, model and LP engine together.
-func (c *EngineCache) LPFor(key string) (*lpengine.Engine, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	entry := el.Value.(*cacheEntry)
-	c.mu.Unlock()
-	entry.lpOnce.Do(func() {
-		entry.lp = lpengine.New(entry.engine.System())
-	})
-	return entry.lp, true
 }
 
 // Contains reports whether key is currently retained (without touching

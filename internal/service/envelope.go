@@ -248,7 +248,7 @@ func (s *Server) envelopeSources(plan envelopePlan) ([]*sourceState, query.Envel
 		items[i] = query.EnvelopeItem{
 			Assignment: plan.names[i],
 			Spec:       plan.targets[i].key,
-			Source:     s.sourceFor(states[i], false, false, seed),
+			Source:     s.sourceFor(states[i], false, seed),
 		}
 	}
 	return states, query.EnvelopeQuery{Inner: plan.inner, Items: items}

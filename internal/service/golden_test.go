@@ -130,3 +130,25 @@ func TestErrorWireGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestEvalBackendRemoved pins what a request carrying a "backend"
+// field gets: the decoder's standard unknown-field 400, one golden body
+// shared by /v1/eval and /v1/eval/stream (the stream fails before any
+// frame, so it answers with the same JSON error).
+func TestEvalBackendRemoved(t *testing.T) {
+	ts := newTestServer(t)
+	body := `{"systems": ["nsquad(2)"], "queries": [], "backend": "lp"}`
+	resp, data := postEval(t, ts, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	goldenCompare(t, "backend-removed", string(data))
+
+	sresp, sdata := postStream(t, ts, body)
+	if sresp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stream status %d, want 400: %s", sresp.StatusCode, sdata)
+	}
+	if sdata != string(data) {
+		t.Errorf("stream error body differs from buffered:\nstream:   %s\nbuffered: %s", sdata, data)
+	}
+}

@@ -94,10 +94,6 @@ func TestStoreRestartByteIdentity(t *testing.T) {
 	if cs := srv2.Cache().Stats(); cs.Misses != 0 || cs.Len != 0 {
 		t.Errorf("second life engine cache = %+v, want untouched (0 misses, 0 engines)", cs)
 	}
-	// No backend answered anything either.
-	if stats2.Backends.Enum != 0 || stats2.Backends.LP != 0 {
-		t.Errorf("second life backends = %+v, want zero accepted slots", stats2.Backends)
-	}
 }
 
 // TestStoreStreamServesHits: the streaming path serves stored slots
@@ -472,16 +468,13 @@ func TestStatsStoreGolden(t *testing.T) {
 	}
 	// len 2; pass 1: 2 misses + 2 writes; pass 2: 2 hits; pass 3:
 	// 1 corrupt + 1 hit + 1 healing write. Engine cache: pass 1 misses,
-	// pass 3 hits (pass 2 never consults it). Backends: 2 + 0 + 1 slots.
+	// pass 3 hits (pass 2 never consults it).
 	want := StoreStats{Len: 2, Hits: 3, Misses: 2, Corrupt: 1, Writes: 3}
 	if out.Store == nil || *out.Store != want {
 		t.Errorf("store stats = %+v, want %+v", out.Store, want)
 	}
 	if out.EngineCache.Misses != 1 || out.EngineCache.Hits != 1 {
 		t.Errorf("engine cache = %+v, want 1 miss, 1 hit", out.EngineCache)
-	}
-	if out.Backends.Enum != 3 {
-		t.Errorf("enum slots = %d, want 3", out.Backends.Enum)
 	}
 	goldenCompare(t, "stats-store", body)
 }

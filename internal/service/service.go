@@ -28,8 +28,7 @@
 //	  "systems": ["fsquad", "nsquad(3)"],
 //	  "queries": [ {"kind":"constraint", ...}, ... ],
 //	  "parallelism": 0,
-//	  "approx": {"eps": "1/10", "delta": "1/100", "seed": 7},
-//	  "backend": "lp"
+//	  "approx": {"eps": "1/10", "delta": "1/100", "seed": 7}
 //	}
 //
 // The optional "approx" object turns the evaluation approx-first (the
@@ -44,18 +43,6 @@
 // capped (maxApproxSamples), invalid specs are 400 at decode, and the
 // per-system sampling model is memoized in the engine cache beside the
 // engine (EngineCache.ModelFor).
-//
-// The optional "backend" field selects the exact engine: "enum" (the
-// default run-enumeration engine), "lp" (the exact-rational LP engine
-// of internal/lpengine — strict, so a batch carrying a query outside
-// the LP fragment is rejected with a 400 naming the offending slot),
-// or "auto" (per-query routing). The two backends return byte-identical
-// result documents on every supported query — internal/query's
-// differential harness enforces exactly that — so "lp" is a
-// cross-check and performance knob, never a semantic one. The LP
-// engine is memoized in the engine cache beside the enumeration engine
-// (EngineCache.LPFor), and GET /v1/stats reports per-backend slot
-// counts under "backends".
 //
 // Top-level queries fan out to every named system; a "requests" list
 // gives per-system batches instead (or additionally). The response keeps
@@ -231,11 +218,8 @@ type Server struct {
 	resultStore store.Store
 	quota       *clientQuota
 
-	// evalEnum and evalLP count accepted evaluation slots per backend
-	// (see countBackendSlots); /v1/stats reports them. The store
-	// counters classify persistent-tier lookups and writes.
-	evalEnum     atomic.Int64
-	evalLP       atomic.Int64
+	// The store counters classify persistent-tier lookups and writes;
+	// /v1/stats reports them.
 	storeHits    atomic.Int64
 	storeMisses  atomic.Int64
 	storeCorrupt atomic.Int64
@@ -299,7 +283,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		EngineCache:         s.engines.Stats(),
-		Backends:            BackendStats{Enum: s.evalEnum.Load(), LP: s.evalLP.Load()},
 		EngineBuildsAvoided: s.buildsAvoided.Load(),
 		MemoSeeded:          s.memoSeeded.Load(),
 		Store:               s.storeStats(),
@@ -311,10 +294,6 @@ type StatsResponse struct {
 	// EngineCache snapshots the shared engine cache: retained engines
 	// (len/cap) and the hit/miss/eviction/shared-build counters.
 	EngineCache CacheStats `json:"engineCache"`
-	// Backends counts accepted evaluation slots by the backend that
-	// answers them (auto-routed slots count under the backend they
-	// resolve to; store-served slots never count — no backend ran).
-	Backends BackendStats `json:"backends"`
 	// EngineBuildsAvoided counts unfolds the lazy engine sources skipped
 	// because the request died before any of the target's slots started
 	// (and the key was not already cached).
@@ -325,12 +304,6 @@ type StatsResponse struct {
 	// Store snapshots the persistent result tier; absent when no store
 	// is configured, so the classic stats shape is byte-identical.
 	Store *StoreStats `json:"store,omitempty"`
-}
-
-// BackendStats is the per-backend slot accounting in StatsResponse.
-type BackendStats struct {
-	Enum int64 `json:"enum"`
-	LP   int64 `json:"lp"`
 }
 
 // resolved is a spec vetted for the service path: its canonical cache
@@ -443,8 +416,8 @@ func (st *sourceState) genuineBuildErr(ctx context.Context) error {
 // contract: an EngineSource that reads through the shared engine cache
 // (LRU + singleflight — concurrent requests naming one key still share
 // one unfold), optionally seeds a cold build from the request's seed
-// chain, and attaches the cache-memoized sampling model / LP engine the
-// eager path used to inject. The evaluator invokes it when its first
+// chain, and attaches the cache-memoized sampling model the eager path
+// used to inject. The evaluator invokes it when its first
 // worker reaches one of the target's slots with a live context, so
 // early systems evaluate while later ones are still cold and a request
 // that dies first never pays for the build at all.
@@ -454,7 +427,7 @@ func (st *sourceState) genuineBuildErr(ctx context.Context) error {
 // later cold build seeds from it. Sharing is live and bidirectional
 // (core.NewSeeded), so one published neighbour joins every same-shape
 // assignment of the sweep to one set of structural memo tables.
-func (s *Server) sourceFor(st *sourceState, wantModel, wantLP bool, seed *atomic.Pointer[core.Engine]) query.EngineSource {
+func (s *Server) sourceFor(st *sourceState, wantModel bool, seed *atomic.Pointer[core.Engine]) query.EngineSource {
 	st.src = func(ctx context.Context) (query.Engines, error) {
 		st.invoked.Store(true)
 		var refused bool
@@ -489,11 +462,6 @@ func (s *Server) sourceFor(st *sourceState, wantModel, wantLP bool, seed *atomic
 		if wantModel {
 			if m, ok := s.engines.ModelFor(st.target.key); ok {
 				eng.Model = m
-			}
-		}
-		if wantLP {
-			if lp, ok := s.engines.LPFor(st.target.key); ok {
-				eng.LP = lp
 			}
 		}
 		return eng, nil
@@ -609,14 +577,6 @@ type EvalRequest struct {
 	// streaming path the estimate arrives as its own stage:"approx"
 	// frame before the exact frame.
 	Approx *ApproxRequest `json:"approx,omitempty"`
-	// Backend selects the exact engine answering this request: "enum"
-	// (the default, every query kind), "lp" (the exact-rational LP
-	// engine — strict: a request carrying any query outside its
-	// fragment is a 400 naming the offending slot), or "auto" (each
-	// query routes to lp when supported, enum otherwise). Both backends
-	// return byte-identical result documents on the LP fragment; the
-	// differential harness in internal/query pins that.
-	Backend string `json:"backend,omitempty"`
 }
 
 // ApproxRequest is the wire form of a query.ApproxSpec. Rationals
@@ -720,9 +680,6 @@ type evalPlan struct {
 	parallel int
 	// approx is the validated approximate-tier spec (nil = exact only).
 	approx *query.ApproxSpec
-	// backend is the parsed evaluation backend (BackendEnum when the
-	// request omitted the field).
-	backend query.Backend
 }
 
 // evalOptions renders the plan as query-layer options.
@@ -731,55 +688,25 @@ func (p evalPlan) evalOptions(ctx context.Context) []query.Option {
 	if p.approx != nil {
 		opts = append(opts, query.WithApprox(*p.approx))
 	}
-	if p.backend != "" && p.backend != query.BackendEnum {
-		opts = append(opts, query.WithBackend(p.backend))
-	}
 	return opts
-}
-
-// lpSlot reports whether the plan routes q to the LP engine.
-func (p evalPlan) lpSlot(q query.Query) bool {
-	return (p.backend == query.BackendLP || p.backend == query.BackendAuto) && query.CanSolveLP(q)
-}
-
-// countBackendSlots classifies the plan's (system, query) slots by the
-// backend that will answer them and adds them to the server's
-// per-backend counters. Classification happens at plan time — after
-// validation, before evaluation — so strict-lp requests rejected with
-// 400 never count, and /v1/stats reflects accepted work even when a
-// deadline later truncates it.
-func (s *Server) countBackendSlots(plan evalPlan) {
-	var lp, enum int64
-	for _, batch := range plan.batches {
-		for _, q := range batch {
-			if plan.lpSlot(q) {
-				lp++
-			} else {
-				enum++
-			}
-		}
-	}
-	s.evalEnum.Add(enum)
-	s.evalLP.Add(lp)
 }
 
 // lazyItems assembles the plan's MultiItems around lazy engine sources:
 // one source per target with un-stored work (fully-hit systems stream
 // straight from the store and never get one), each reading through the
-// shared engine cache and injecting the cache-memoized sampling model /
-// LP engine on resolution. The returned states parallel the items;
+// shared engine cache and injecting the cache-memoized sampling model
+// on resolution. The returned states parallel the items;
 // callers pass them to sweepSources after evaluation.
 func (s *Server) lazyItems(plan evalPlan, lookup *storeLookup) ([]*sourceState, []query.MultiItem) {
 	states := make([]*sourceState, len(plan.targets))
 	items := make([]query.MultiItem, len(plan.targets))
-	wantLP := plan.backend == query.BackendLP || plan.backend == query.BackendAuto
 	for i := range plan.targets {
 		items[i] = query.MultiItem{Queries: plan.batches[i]}
 		if lookup.fullyHit(i) {
 			continue
 		}
 		states[i] = &sourceState{target: plan.targets[i]}
-		items[i].Source = s.sourceFor(states[i], plan.approx != nil, wantLP, nil)
+		items[i].Source = s.sourceFor(states[i], plan.approx != nil, nil)
 	}
 	return states, items
 }
@@ -898,26 +825,6 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (eval
 		writeError(w, http.StatusBadRequest, err)
 		return evalPlan{}, false
 	}
-	backend, err := query.ParseBackend(req.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return evalPlan{}, false
-	}
-	if backend == query.BackendLP {
-		// Strict lp validates at decode: one 400 naming the first offending
-		// slot, never N identical per-slot failures. Auto needs no check —
-		// unsupported queries fall through to enumeration.
-		for i, tg := range targets {
-			for j, q := range batches[i] {
-				if !query.CanSolveLP(q) {
-					writeError(w, http.StatusBadRequest,
-						fmt.Errorf("%w: system %q query %d (%s)", query.ErrBackendUnsupported, tg.spec, j, q))
-					return evalPlan{}, false
-				}
-			}
-		}
-	}
-
 	plan := evalPlan{
 		specs:    make([]string, len(targets)),
 		targets:  resolvedTargets,
@@ -925,7 +832,6 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (eval
 		shared:   make([]bool, len(targets)),
 		parallel: parallel,
 		approx:   approx,
-		backend:  backend,
 	}
 	for i, tg := range targets {
 		plan.specs[i], plan.shared[i] = tg.spec, tg.shared
@@ -969,9 +875,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	lookup := s.lookupStored(plan)
 	evalView, slotMap := reducePlan(plan, lookup)
-	// Backend accounting covers the slots evaluation will actually
-	// answer — store-served slots ran no backend.
-	s.countBackendSlots(evalView)
 
 	// Engines are lazy sources, not a pre-built barrier: each system
 	// with un-stored work builds (through the shared cache) when the
@@ -1064,8 +967,6 @@ func statusOfEvalErr(err error) int {
 	case errors.Is(err, registry.ErrUnknownScenario):
 		return http.StatusNotFound
 	case errors.Is(err, registry.ErrBadSpec):
-		return http.StatusBadRequest
-	case errors.Is(err, query.ErrBackendUnsupported):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

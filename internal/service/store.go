@@ -6,10 +6,7 @@
 // canonical query document) — the engine-cache key crossed with
 // query.MarshalCanonical. Both components are canonical, so any two
 // requests that would share an engine and a query share an address,
-// across restarts and across backends: the enum and LP engines return
-// byte-identical documents (the differential harness pins it), so a
-// stored answer serves either backend's request and the key carries
-// no backend component.
+// across restarts.
 //
 // Byte identity. The stored value is the slot's compact ResultDoc
 // JSON. On a hit the doc is decoded and re-embedded in the response,
@@ -190,10 +187,9 @@ func (lk *storeLookup) hit(i, j int) *query.ResultDoc {
 }
 
 // reducePlan drops store-hit slots from the plan's batches, so
-// evaluation (and backend accounting) covers exactly the slots the
-// store could not answer. slotMap maps each reduced slot back to its
-// original batch index; a nil slotMap means the plan is unreduced
-// (identity). Systems whose every slot hit end up with an empty batch
+// evaluation covers exactly the slots the store could not answer.
+// slotMap maps each reduced slot back to its original batch index; a
+// nil slotMap means the plan is unreduced (identity). Systems whose every slot hit end up with an empty batch
 // — the handlers skip their engine builds entirely, which is what
 // makes "zero engine rebuilds for stored slots" literal.
 func reducePlan(plan evalPlan, lk *storeLookup) (evalPlan, [][]int) {

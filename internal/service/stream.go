@@ -187,7 +187,6 @@ func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 	}
 	lookup := s.lookupStored(plan)
 	evalView, slotMap := reducePlan(plan, lookup)
-	s.countBackendSlots(evalView)
 
 	states, items := s.lazyItems(evalView, lookup)
 	sw := newStreamWriter(w)

@@ -72,10 +72,6 @@ type (
 	// QueryStage labels a frame's tier under WithApprox: StageApprox or
 	// StageExact (empty outside approx mode).
 	QueryStage = query.Stage
-
-	// QueryBackend selects which exact engine answers a batch (see
-	// WithBackend): enumeration, LP, or per-query auto-routing.
-	QueryBackend = query.Backend
 )
 
 // Approximate-tier stages and flags.
@@ -92,24 +88,6 @@ const (
 	// δ-probability miss, reported honestly rather than as an error).
 	FlagCICovered = query.FlagCICovered
 )
-
-// Evaluation backends.
-const (
-	// BackendEnum is the run-enumeration engine, the default; it answers
-	// every query kind.
-	BackendEnum = query.BackendEnum
-	// BackendLP is the exact-rational LP engine, strict: queries outside
-	// its fragment (see CanSolveLP) fail their slots with
-	// ErrBackendUnsupported.
-	BackendLP = query.BackendLP
-	// BackendAuto routes each query to the LP engine when supported and
-	// to enumeration otherwise.
-	BackendAuto = query.BackendAuto
-)
-
-// ErrBackendUnsupported is the typed error a strict-lp slot reports when
-// the query has no LP form.
-var ErrBackendUnsupported = query.ErrBackendUnsupported
 
 // Terminal stream statuses.
 const (
@@ -242,20 +220,6 @@ func WithApprox(spec ApproxSpec) EvalOption { return query.WithApprox(spec) }
 // CanApprox reports whether the approximate tier supports q; other
 // queries evaluate exactly even under WithApprox.
 func CanApprox(q Query) bool { return query.CanApprox(q) }
-
-// WithBackend selects the exact engine a batch or stream evaluates on.
-// Both backends return byte-identical results on the LP fragment — the
-// differential harness holds them to that — so the choice is about
-// performance and cross-checking, never semantics.
-func WithBackend(b QueryBackend) EvalOption { return query.WithBackend(b) }
-
-// ParseBackend parses a backend name from a flag or wire field; the
-// empty string means the default enumeration backend.
-func ParseBackend(s string) (QueryBackend, error) { return query.ParseBackend(s) }
-
-// CanSolveLP reports whether the LP backend can answer q: a belief,
-// constraint or threshold query over a structurally past-based fact.
-func CanSolveLP(q Query) bool { return query.CanSolveLP(q) }
 
 // MarshalQuery renders one query as a JSON document.
 func MarshalQuery(q Query) ([]byte, error) { return query.Marshal(q) }
