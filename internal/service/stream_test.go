@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -286,6 +287,56 @@ func TestEvalStreamMidStreamBuildFailure(t *testing.T) {
 		t.Errorf("terminal = %+v, want an error frame with code 400 naming the build failure", term)
 	}
 	goldenCompare(t, "stream-error", data)
+}
+
+// TestEvalBufferedBuildFailure pins the buffered side of a genuine
+// engine build failure: /v1/eval answers a request-level 400 errorDoc
+// naming the builder's error, and with several failing systems it names
+// the FIRST failing system in target order, whatever order the builds
+// fail in. The later target here fails at once while the earlier one
+// fails only after a pause, so a buffered path that reported the first
+// failure to arrive would name the wrong one.
+func TestEvalBufferedBuildFailure(t *testing.T) {
+	reg := boomRegistry(t)
+	if err := reg.Register(registry.Scenario{
+		Name: "slowboom",
+		Doc:  "a test scenario whose build fails after a pause",
+		Build: func(registry.Args) (*pps.System, error) {
+			time.Sleep(5 * time.Millisecond)
+			return nil, fmt.Errorf("the slow unfold blew up")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg).Handler())
+	t.Cleanup(ts.Close)
+	batch := mustBatch(t,
+		query.ConstraintQuery{Fact: scenarios.AllFireFact(2), Agent: scenarios.General, Action: scenarios.ActFire})
+
+	errorOf := func(body string) string {
+		t.Helper()
+		resp, data := postEval(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, data)
+		}
+		var ed errorDoc
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ed); err != nil || ed.Error == "" {
+			t.Fatalf("body is not a JSON error doc: %s", data)
+		}
+		return ed.Error
+	}
+
+	if msg := errorOf(fmt.Sprintf(`{"systems": ["good", "boom"], "queries": %s}`, batch)); !strings.Contains(msg, "the unfold blew up") {
+		t.Errorf("error = %q, want it to name the build failure", msg)
+	}
+	body := fmt.Sprintf(`{"systems": ["good", "slowboom", "boom"], "queries": %s, "parallelism": 4}`, batch)
+	for rep := 0; rep < 20; rep++ {
+		if msg := errorOf(body); !strings.Contains(msg, "the slow unfold blew up") {
+			t.Fatalf("repeat %d: error = %q, want the first failing system in target order (slowboom)", rep, msg)
+		}
+	}
 }
 
 // TestEvalStreamPreStreamFailuresKeepStatusLine: request-level failures
