@@ -52,10 +52,12 @@ bench-query:
 # The service-hardening benchmarks: parallel cold builds,
 # eviction-thrash pricing, the envelope sweep's shared-cache economics
 # (N assignments over one EngineCache vs N isolated adversary.Resolve
-# builds), and the sampled-first sweep's pruning (exact evaluations
-# skipped where an assignment's CI cannot reach the envelope).
+# builds), the sampled-first sweep's pruning (exact evaluations
+# skipped where an assignment's CI cannot reach the envelope), and the
+# warm handler path (the standard batch and a loss sweep through each
+# buffered and streamed endpoint on resident engines).
 bench-service:
-	$(GO) test -run xxx -bench 'ColdBuildSerialVsParallel|EvalWithEviction|EnvelopeSharedCache|EnvelopeSampledPrune' -benchmem .
+	$(GO) test -run xxx -bench 'ColdBuildSerialVsParallel|EvalWithEviction|EnvelopeSharedCache|EnvelopeSampledPrune|ServeWarm' -benchmem .
 
 # The sweep-economics benchmarks: the envelope sweep's shared-cache
 # comparison, the structure-sharing chain (engines seeded from a

@@ -11,7 +11,9 @@ package pak_test
 // (b.Fatal on mismatch), so the bench run doubles as a reproduction run.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	bigmath "math/big"
 	"net/http"
 	"net/http/httptest"
@@ -487,6 +489,67 @@ func BenchmarkStoreReplaySharedBatch(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		benchPost(b, ts.URL, body)
+	}
+}
+
+// BenchmarkServeWarm measures the HTTP service path around resident
+// engines: the standard batch (constraint, expectation, Theorem 6.2, a
+// threshold at 9/10 and one soldier's independence) against nsquad(3),
+// and a six-assignment loss sweep of the squad constraint, each through
+// its buffered and its streamed endpoint. The untimed first request
+// builds every engine, so an iteration pays decode, admission,
+// evaluation on warm memo tables, framing and encode — no unfold.
+func BenchmarkServeWarm(b *testing.B) {
+	fact := pak.AllFire(3)
+	batch, err := pak.MarshalQueryBatch([]pak.Query{
+		pak.ConstraintQuery{Fact: fact, Agent: "General", Action: "fire"},
+		pak.ExpectationQuery{Fact: fact, Agent: "General", Action: "fire"},
+		pak.TheoremQuery{Theorem: pak.TheoremExpectation, Fact: fact, Agent: "General", Action: "fire"},
+		pak.ThresholdQuery{Fact: fact, Agent: "General", Action: "fire", P: bigmath.NewRat(9, 10)},
+		pak.IndependenceQuery{Fact: pak.Does("s1", "fire"), Agent: "General", Action: "fire"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inner, err := pak.MarshalQueryBatch([]pak.Query{pak.ConstraintQuery{Fact: fact, Agent: "General", Action: "fire"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	evalBody := fmt.Sprintf(`{"systems": ["nsquad(3)"], "queries": %s}`, batch)
+	envelopeBody := fmt.Sprintf(`{"space": "sweep(nsquad,n=3,loss=0..1/2/1/10)", "query": %s}`,
+		strings.TrimSuffix(strings.TrimPrefix(string(inner), "["), "]"))
+
+	ts := httptest.NewServer(pak.ServiceHandler())
+	defer ts.Close()
+	for _, c := range []struct{ name, path, body string }{
+		{"eval", "/v1/eval", evalBody},
+		{"eval-stream", "/v1/eval/stream", evalBody},
+		{"envelope", "/v1/envelope", envelopeBody},
+		{"envelope-stream", "/v1/envelope/stream", envelopeBody},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			post := func() {
+				resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("%s: status %d: %.200s (%v)", c.path, resp.StatusCode, data, err)
+				}
+				// A stream's status line is spent before evaluation, so
+				// its verdict is the terminal frame.
+				if strings.HasSuffix(c.path, "/stream") && !bytes.Contains(data, []byte(`{"frame":"status","status":"complete"`)) {
+					b.Fatalf("%s: stream did not complete: %.200s", c.path, data)
+				}
+			}
+			post()
+			b.ReportAllocs()
+			for b.Loop() {
+				post()
+			}
+		})
 	}
 }
 

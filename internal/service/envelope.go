@@ -1,10 +1,11 @@
-// The envelope endpoints: adversary spaces over the wire. POST
-// /v1/envelope evaluates ONE query's [min, max] envelope across every
-// assignment of a space-valued scenario spec ("sweep(nsquad,
-// loss=0.0..0.5/0.1)"), and /v1/envelope/stream answers the same
-// request as NDJSON — one frame per assignment the moment it finishes,
-// each carrying the running envelope, so clients watch the bounds
-// tighten progressively:
+// The envelope endpoints: adversary spaces over the wire. One pipeline
+// (envelopeFrames) evaluates ONE query's [min, max] envelope across
+// every assignment of a space-valued scenario spec ("sweep(nsquad,
+// loss=0.0..0.5/0.1)") and yields one frame per assignment the moment
+// it finishes, each carrying the running envelope, then one terminal
+// frame with the final envelope. POST /v1/envelope/stream writes the
+// frames as NDJSON, so clients watch the bounds tighten progressively;
+// POST /v1/envelope folds them into one EnvelopeResponse:
 //
 //	{"frame":"result","index":1,"assignment":"loss=1/10",
 //	 "spec":"nsquad(n=3,loss=1/10,improved=false)","result":{...},
@@ -16,8 +17,8 @@
 // ServeGuard), and its engine comes from the same shared
 // EngineCache/singleflight machinery — a sweep whose instances overlap
 // earlier traffic reuses those engines outright. The buffered and
-// streamed answers are the same fold by construction (both consume
-// query.EnvelopeStream), and the final envelope is order-independent
+// streamed answers are the same frames by construction (one pipeline
+// over query.EnvelopeStream), and the final envelope is order-independent
 // (witness ties break toward the lowest assignment index), so buffered,
 // streamed and in-process serial envelopes are byte-identical on the
 // wire — the determinism tests pin all three.
@@ -30,10 +31,12 @@
 // sources chained through a per-request seed (structural memo tables
 // shared across same-shape assignments), so the first assignment
 // streams as soon as its own engine is up and assignments the deadline
-// never reaches are never built; a genuine build failure mid-stream
-// ends the sweep with the terminal "error" frame carrying its HTTP
-// code (a real status line while nothing has flushed). Per-assignment
-// evaluation failures travel inside their slots, as always.
+// never reaches are never built. A genuine build failure ends the
+// stream at its frame with the terminal "error" frame carrying its HTTP
+// code (a real status line while nothing has flushed); the buffered
+// sweep runs out and answers the first failing assignment's errorDoc.
+// Per-assignment evaluation failures travel inside their slots, as
+// always.
 package service
 
 import (
@@ -132,20 +135,8 @@ type EnvelopeStatusFrame struct {
 	Error string `json:"error,omitempty"`
 }
 
-// failEnvelope reports a request-level failure on the envelope stream
-// in whichever shape is still expressible: a plain JSON error with its
-// own status line while nothing has flushed, the terminal "error"
-// status frame (carrying the HTTP code) once streaming has begun.
-func (sw *streamWriter) failEnvelope(status int, err error) {
-	if !sw.started {
-		writeError(sw.w, status, err)
-		return
-	}
-	_ = sw.frame(EnvelopeStatusFrame{Frame: frameStatus, Status: streamStatusError, Code: status, Error: err.Error()})
-}
-
-// envelopePlan is one vetted envelope request, shared by the buffered
-// and streaming handlers.
+// envelopePlan is one vetted envelope request, the envelope pipeline's
+// input under either transport.
 type envelopePlan struct {
 	space     string
 	canonical string
@@ -161,21 +152,7 @@ type envelopePlan struct {
 // request-level errors always get a proper status line.
 func (s *Server) decodeEnvelopeRequest(w http.ResponseWriter, r *http.Request) (envelopePlan, bool) {
 	var req EnvelopeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return envelopePlan{}, false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
-		return envelopePlan{}, false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest,
-			errors.New("malformed request body: trailing content after the JSON document"))
+	if !s.decodeBody(w, r, &req) {
 		return envelopePlan{}, false
 	}
 	if req.Space == "" {
@@ -254,127 +231,38 @@ func (s *Server) envelopeSources(plan envelopePlan) ([]*sourceState, query.Envel
 	return states, query.EnvelopeQuery{Inner: plan.inner, Items: items}
 }
 
-// handleEnvelope serves POST /v1/envelope: the buffered sweep. A
-// deadline mid-sweep is not discarded — the 504 body carries every
-// finished assignment plus the partial envelope over exactly those,
-// labeled with the visited count.
-func (s *Server) handleEnvelope(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use POST", r.Method))
-		return
-	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	plan, ok := s.decodeEnvelopeRequest(w, r)
-	if !ok {
-		return
-	}
-	states, eq := s.envelopeSources(plan)
-	out, err := query.EvalEnvelope(eq,
-		query.WithParallelism(plan.parallel), query.WithContext(ctx))
-	if err != nil {
-		// Validation failures are caught at decode; anything else here is
-		// a server defect.
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := s.sweepSources(ctx, states); err != nil {
-		// A genuine build failure stays a request-level error with a real
-		// status line, exactly as the retired engine barrier reported it.
-		writeError(w, statusOfEvalErr(err), err)
-		return
-	}
-	resp := EnvelopeResponse{
-		Space:       plan.space,
-		Canonical:   plan.canonical,
-		Query:       plan.inner.String(),
-		Envelope:    query.RangeDocOf(*out.Result.Envelope),
-		Assignments: make([]AssignmentResult, len(plan.targets)),
-	}
-	for i := range plan.targets {
-		resp.Assignments[i] = AssignmentResult{
-			Assignment: plan.names[i],
-			Spec:       plan.targets[i].key,
-			Result:     query.DocOf(out.Slots[i]),
-		}
-	}
-	if cause := context.Cause(ctx); cause != nil {
-		resp.Status = string(streamStatusOf(cause))
-		resp.Error = evalErrMessage(cause, s.timeout).Error()
-		writeJSON(w, statusOfEvalErr(cause), resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleEnvelopeStream serves POST /v1/envelope/stream: the NDJSON
-// sweep. Engines are lazy sources over the shared cache, chained
-// through the request's seed so cold assignments share structural memo
-// tables: the first assignment streams the moment its own engine is up,
-// with later builds overlapping earlier evaluations. A genuine build
-// failure before the first frame keeps a real status line; after it,
-// the failure travels as the terminal "error" frame with its HTTP code.
-func (s *Server) handleEnvelopeStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use POST", r.Method))
-		return
-	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	plan, ok := s.decodeEnvelopeRequest(w, r)
-	if !ok {
-		return
-	}
+// envelopeFrames is the /v1/envelope pipeline: one EnvelopeStream over
+// lazy, seed-chained engine sources, each assignment's frame put as it
+// arrives with the running envelope. It returns the request's one
+// terminal status and the final envelope (zero on "error"). A put error
+// (the client is gone) ends the pipeline at once with a zero status.
+// failFast ends it at the first frame of an assignment whose build
+// genuinely failed; otherwise that failure is the first one in
+// assignment order, found once the sweep has run out (sweepSources).
+func (s *Server) envelopeFrames(ctx context.Context, plan envelopePlan, failFast bool,
+	put func(EnvelopeResultFrame) error) (StreamStatusFrame, query.RangeDoc) {
 	states, eq := s.envelopeSources(plan)
 	frames, err := query.EnvelopeStream(eq,
 		query.WithParallelism(plan.parallel), query.WithContext(ctx))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		// Validation failures are caught at decode; anything else here is
+		// a server defect.
+		t := failed(err)
+		t.Code = http.StatusInternalServerError
+		return t, query.RangeDoc{}
 	}
-	sw := newStreamWriter(w)
+	var end query.EnvelopeFrame
 	for f := range frames {
 		if f.Terminal() {
-			if err := s.sweepSources(ctx, states); err != nil {
-				// Defensive: genuine failures surface on their own frames
-				// below before the terminal arrives.
-				sw.failEnvelope(statusOfEvalErr(err), err)
-				return
-			}
-			terminal := EnvelopeStatusFrame{
-				Frame:    frameStatus,
-				Status:   string(f.Status),
-				Envelope: query.RangeDocOf(f.Envelope),
-			}
-			if f.Err != nil {
-				terminal.Error = evalErrMessage(f.Err, s.timeout).Error()
-			}
-			_ = sw.frame(terminal)
-			return
+			end = f
+			continue
 		}
-		if err := states[f.Index].genuineBuildErr(ctx); err != nil {
-			sw.failEnvelope(statusOfEvalErr(err), err)
-			return
+		if failFast {
+			if err := states[f.Index].genuineBuildErr(ctx); err != nil {
+				return failed(err), query.RangeDoc{}
+			}
 		}
-		err := sw.frame(EnvelopeResultFrame{
+		err := put(EnvelopeResultFrame{
 			Frame:      frameResult,
 			Index:      f.Index,
 			Assignment: f.Assignment,
@@ -384,8 +272,43 @@ func (s *Server) handleEnvelopeStream(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			// The client is gone; the buffered envelope stream drains
-			// itself, so just stop writing.
-			return
+			// itself, so just stop.
+			return StreamStatusFrame{}, query.RangeDoc{}
 		}
 	}
+	if err := s.sweepSources(ctx, states); err != nil {
+		return failed(err), query.RangeDoc{}
+	}
+	return s.ended(end.Err), query.RangeDocOf(end.Envelope)
+}
+
+// serveEnvelopeStream is the NDJSON transport of /v1/envelope/stream:
+// each assignment's frame reaches the client as the pipeline yields it.
+func (s *Server) serveEnvelopeStream(ctx context.Context, w http.ResponseWriter, plan envelopePlan) {
+	sw := newStreamWriter(w)
+	t, env := s.envelopeFrames(ctx, plan, true, func(f EnvelopeResultFrame) error { return sw.frame(f) })
+	sw.end(EnvelopeStatusFrame{Frame: t.Frame, Status: t.Status, Code: t.Code, Envelope: env, Error: t.Error}, t.Code, t.Error)
+}
+
+// serveEnvelope is the buffered transport of /v1/envelope: it folds the
+// pipeline's frames into one EnvelopeResponse. A deadline mid-sweep is
+// not discarded — the 504 body carries every finished assignment plus
+// the partial envelope over exactly those, labeled with the visited
+// count.
+func (s *Server) serveEnvelope(ctx context.Context, w http.ResponseWriter, plan envelopePlan) {
+	resp := EnvelopeResponse{
+		Space:       plan.space,
+		Canonical:   plan.canonical,
+		Query:       plan.inner.String(),
+		Assignments: make([]AssignmentResult, len(plan.targets)),
+	}
+	t, env := s.envelopeFrames(ctx, plan, false, func(f EnvelopeResultFrame) error {
+		resp.Assignments[f.Index] = AssignmentResult{Assignment: f.Assignment, Spec: f.Spec, Result: f.Result}
+		return nil
+	})
+	resp.Envelope = env
+	if t.Status != string(query.StreamComplete) {
+		resp.Status, resp.Error = t.Status, t.Error
+	}
+	answer(w, t, resp)
 }

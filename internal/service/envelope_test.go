@@ -614,6 +614,7 @@ func TestEnvelopeWireGolden(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
 			}
+			checkAllow(t, resp, tc.method)
 			goldenCompare(t, tc.name, body)
 		})
 	}

@@ -125,9 +125,27 @@ func TestErrorWireGolden(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q, want application/json", ct)
 			}
+			checkAllow(t, resp, tc.method)
 
 			goldenCompare(t, tc.name, body)
 		})
+	}
+}
+
+// checkAllow asserts that a 405 names the route's one method in its
+// Allow header (RFC 9110 §15.5.6). Every route serves exactly one of
+// GET and POST, so a 405 provoked with one must allow the other.
+func checkAllow(t *testing.T, resp *http.Response, sent string) {
+	t.Helper()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		return
+	}
+	want := http.MethodPost
+	if sent != http.MethodGet {
+		want = http.MethodGet
+	}
+	if got := resp.Header.Get("Allow"); got != want {
+		t.Errorf("405 Allow header = %q, want %q", got, want)
 	}
 }
 

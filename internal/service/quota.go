@@ -1,6 +1,6 @@
 // Admission control: a per-client concurrency quota in front of the
 // evaluation endpoints (WithClientQuota / pakd -client-quota). The
-// heavy requests — MultiBatch fan-outs and envelope sweeps — are the
+// heavy requests — multi-system eval fan-outs and envelope sweeps — are the
 // ones a single greedy client can starve a fleet with, so admission
 // happens before any decode or engine work: over-quota requests cost
 // the server one map lookup and answer a deterministic, golden-pinned

@@ -420,14 +420,14 @@ func TestStorePersistenceContract(t *testing.T) {
 	if lk == nil {
 		t.Fatal("lookupStored = nil with a configured store")
 	}
-	before := srv.storeWrites.Load()
+	before := srv.stats.storeWrites.Load()
 	srv.persistResult(ctx, lk, plan.targets[0].key, 0, 0, query.ResultDoc{Kind: query.KindConstraint, Value: "1"})
-	if srv.storeWrites.Load() != before {
+	if srv.stats.storeWrites.Load() != before {
 		t.Error("persistResult wrote under a cancelled context")
 	}
 	// And with a live context the same slot does write.
 	srv.persistResult(context.Background(), lk, plan.targets[0].key, 0, 0, query.ResultDoc{Kind: query.KindConstraint, Value: "1"})
-	if srv.storeWrites.Load() != before+1 {
+	if srv.stats.storeWrites.Load() != before+1 {
 		t.Error("persistResult refused a live, complete, exact slot")
 	}
 }

@@ -4,7 +4,15 @@
 // one memoizing engine per canonical spec (so repeated requests against
 // "fsquad" share every cached belief and performance index), and
 // evaluates pak's existing query-batch documents with cross-system
-// fan-out through query.MultiBatch.
+// fan-out over one query.EvalMultiStream.
+//
+// Each evaluation endpoint is one request pipeline with two
+// transports. The pipeline (evalFrames in stream.go, envelopeFrames in
+// envelope.go) yields the wire result frames and exactly one terminal
+// status frame; the streaming transport writes them as NDJSON, and the
+// buffered transport folds them into one JSON body. All four POST
+// routes share one prologue (post): the method guard, per-client
+// admission, the request deadline and a strict body decode.
 //
 // Endpoints:
 //
@@ -53,9 +61,9 @@
 // deadline is a 504 whose body is still a full EvalResponse — every
 // finished result plus per-slot deadline errors for the rest, with the
 // top-level status/error fields naming the cause — so deadline
-// truncation never discards completed work. /v1/eval/stream goes
-// further and delivers each result the moment it is computed (see
-// stream.go for the frame contract).
+// truncation never discards completed work. /v1/eval/stream delivers
+// the same frames the moment each is computed (see stream.go for the
+// frame contract).
 //
 // The server is hardened for sustained traffic: engines are retained in
 // a size-bounded LRU (WithEngineCacheSize) whose eviction is invisible —
@@ -144,12 +152,14 @@ func WithEngineCacheSize(n int) Option {
 	return func(s *Server) { s.cacheSize = n }
 }
 
-// WithRequestTimeout bounds one /v1/eval request's wall-clock time
-// (resolve + build + evaluate). On expiry the client receives a 504
-// JSON error; evaluation stops cooperatively at the next query
-// boundary, and any engine builds already in flight complete and stay
-// cached (the work is shared, so finishing it warms the next request).
-// d ≤ 0 (the default) means no deadline.
+// WithRequestTimeout bounds the wall-clock time (resolve + build +
+// evaluate) of one request on any of the four evaluation routes. On
+// expiry the buffered endpoints answer 504 with the finished prefix
+// under a top-level "deadline" status, and the streams end with a
+// "deadline" terminal frame. Evaluation stops cooperatively at the next
+// query boundary, and any engine builds already in flight complete and
+// stay cached (the work is shared, so finishing it warms the next
+// request). d ≤ 0 (the default) means no deadline.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) {
 		if d > 0 {
@@ -158,9 +168,10 @@ func WithRequestTimeout(d time.Duration) Option {
 	}
 }
 
-// WithMaxBodyBytes bounds the /v1/eval request body (default
-// maxBodyBytes, 8 MiB). Chiefly for tests and embedders fronting the
-// handler with their own limits.
+// WithMaxBodyBytes bounds the request body of every evaluation route
+// (/v1/eval[/stream], /v1/envelope[/stream]; default maxBodyBytes,
+// 8 MiB). Chiefly for tests and embedders fronting the handler with
+// their own limits.
 func WithMaxBodyBytes(n int64) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -182,7 +193,7 @@ func WithClientQuota(n int) Option {
 	}
 }
 
-// maxBodyBytes bounds the /v1/eval request body (8 MiB): far above any
+// maxBodyBytes bounds an evaluation request body (8 MiB): far above any
 // reasonable query batch, far below what could exhaust server memory.
 const maxBodyBytes = 8 << 20
 
@@ -218,13 +229,14 @@ type Server struct {
 	resultStore store.Store
 	quota       *clientQuota
 
-	// The store counters classify persistent-tier lookups and writes;
-	// /v1/stats reports them.
-	storeHits    atomic.Int64
-	storeMisses  atomic.Int64
-	storeCorrupt atomic.Int64
-	storeWrites  atomic.Int64
+	stats counters
+}
 
+// counters are the server's request-path counters; /v1/stats
+// snapshots them.
+type counters struct {
+	// The store counters classify persistent-tier lookups and writes.
+	storeHits, storeMisses, storeCorrupt, storeWrites atomic.Int64
 	// buildsAvoided counts engine unfolds the lazy-source contract
 	// skipped outright: a target whose source was never invoked (its
 	// request died before any of its slots started) and whose key was
@@ -232,8 +244,7 @@ type Server struct {
 	// would have paid for nothing. memoSeeded counts cold builds that
 	// seeded their memo tables from a neighbouring engine
 	// (core.NewSeeded), the envelope sweeps' structure-sharing hits.
-	buildsAvoided atomic.Int64
-	memoSeeded    atomic.Int64
+	buildsAvoided, memoSeeded atomic.Int64
 }
 
 // New returns a server over the registry (nil means registry.Default()).
@@ -266,25 +277,87 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("/v1/scenarios/", s.handleScenario)
-	mux.HandleFunc("/v1/eval", s.handleEval)
-	mux.HandleFunc("/v1/eval/stream", s.handleEvalStream)
-	mux.HandleFunc("/v1/envelope", s.handleEnvelope)
-	mux.HandleFunc("/v1/envelope/stream", s.handleEnvelopeStream)
+	mux.HandleFunc("/v1/eval", post(s, s.decodeEvalRequest, s.serveEval))
+	mux.HandleFunc("/v1/eval/stream", post(s, s.decodeEvalRequest, s.serveEvalStream))
+	mux.HandleFunc("/v1/envelope", post(s, s.decodeEnvelopeRequest, s.serveEnvelope))
+	mux.HandleFunc("/v1/envelope/stream", post(s, s.decodeEnvelopeRequest, s.serveEnvelopeStream))
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	return mux
 }
 
-// handleStats serves GET /v1/stats: the engine cache's effectiveness
-// counters as JSON, for dashboards and pakload's soak accounting.
+// allowMethod reports whether r uses method. Otherwise it answers the
+// 405, with the Allow header RFC 9110 §15.5.6 requires, and reports
+// false.
+func allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use %s", r.Method, method))
+	return false
+}
+
+// post builds one evaluation route: the prologue all four share (the
+// POST guard, per-client admission, the request deadline and the
+// endpoint's strict decode), then serve, one transport over the
+// endpoint's pipeline. A failed decode has already answered its 4xx.
+func post[P any](s *Server, decode func(http.ResponseWriter, *http.Request) (P, bool),
+	serve func(context.Context, http.ResponseWriter, P)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !allowMethod(w, r, http.MethodPost) {
+			return
+		}
+		release, admitted := s.admit(w, r)
+		if !admitted {
+			return
+		}
+		defer release()
+		ctx := r.Context()
+		if s.timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.timeout)
+			defer cancel()
+		}
+		if plan, ok := decode(w, r); ok {
+			serve(ctx, w, plan)
+		}
+	}
+}
+
+// decodeBody strictly decodes one JSON document from the request body
+// into v: the body limit applies, unknown fields are refused, and
+// nothing may follow the document. On failure it writes the 4xx and
+// reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing content after the JSON document")
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
+	}
+	return false
+}
+
+// handleStats serves GET /v1/stats: a snapshot of the engine cache and
+// the server's counters as JSON, for dashboards and pakload's soak
+// accounting.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use GET", r.Method))
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		EngineCache:         s.engines.Stats(),
-		EngineBuildsAvoided: s.buildsAvoided.Load(),
-		MemoSeeded:          s.memoSeeded.Load(),
+		EngineBuildsAvoided: s.stats.buildsAvoided.Load(),
+		MemoSeeded:          s.stats.memoSeeded.Load(),
 		Store:               s.storeStats(),
 	})
 }
@@ -308,7 +381,7 @@ type StatsResponse struct {
 
 // resolved is a spec vetted for the service path: its canonical cache
 // key plus a deferred build closure. Resolution (cheap, always serial)
-// is split from building (expensive, lazily triggered) so handleEval
+// is split from building (expensive, lazily triggered) so a request
 // can reject a bad request before any unfold starts and defer the cold
 // builds to the evaluator's first touch. The build accepts an optional
 // seeding neighbour: a same-shape engine whose structural memo tables
@@ -367,7 +440,7 @@ func (s *Server) resolveTarget(spec string) (resolved, error) {
 
 // engineFor resolves a spec and returns the shared engine for its
 // canonical form, building (and caching) the system on first use —
-// the serial single-spec path; the request handlers go through lazy
+// the serial single-spec path; the request pipelines go through lazy
 // sources (sourceFor) instead.
 func (s *Server) engineFor(spec string) (*core.Engine, string, error) {
 	r, err := s.resolveTarget(spec)
@@ -386,9 +459,9 @@ func (s *Server) engineFor(spec string) (*core.Engine, string, error) {
 
 // sourceState is one target's lazy build cell for a single request: the
 // EngineSource handed to the query layer, plus the record of whether it
-// was ever invoked and with what outcome. The handlers read it after
-// evaluation (sweepSources) — and the streaming handlers on each frame
-// — to classify failures and count the builds laziness avoided.
+// was ever invoked and with what outcome. The pipelines read it after
+// evaluation (sweepSources) — and, under a streaming transport, on each
+// frame — to classify failures and count the builds laziness avoided.
 type sourceState struct {
 	target  resolved
 	src     query.EngineSource
@@ -438,7 +511,7 @@ func (s *Server) sourceFor(st *sourceState, wantModel bool, seed *atomic.Pointer
 			}
 			e, shared, err := st.target.build(neighbour)
 			if shared {
-				s.memoSeeded.Add(1)
+				s.stats.memoSeeded.Add(1)
 			} else if neighbour != nil {
 				refused = true
 			}
@@ -495,7 +568,7 @@ func (s *Server) sweepSources(ctx context.Context, states []*sourceState) error 
 		if context.Cause(ctx) != nil {
 			if !avoided[st.target.key] && !s.engines.Contains(st.target.key) {
 				avoided[st.target.key] = true
-				s.buildsAvoided.Add(1)
+				s.stats.buildsAvoided.Add(1)
 			}
 			continue
 		}
@@ -535,16 +608,14 @@ func (s *Server) sweepSources(ctx context.Context, states []*sourceState) error 
 // fields reach clients without a mirror struct here.
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use GET", r.Method))
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.reg.Scenarios())
 }
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use GET", r.Method))
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	name := strings.TrimPrefix(r.URL.Path, "/v1/scenarios/")
@@ -667,8 +738,8 @@ type SystemResult struct {
 	Results []query.ResultDoc `json:"results"`
 }
 
-// evalPlan is one vetted /v1/eval request, shared by the buffered and
-// streaming handlers: the requested spec strings, their resolved
+// evalPlan is one vetted /v1/eval request, the eval pipeline's input
+// under either transport: the requested spec strings, their resolved
 // targets, the parsed per-system batches, and the clamped parallelism.
 type evalPlan struct {
 	specs   []string
@@ -695,8 +766,8 @@ func (p evalPlan) evalOptions(ctx context.Context) []query.Option {
 // one source per target with un-stored work (fully-hit systems stream
 // straight from the store and never get one), each reading through the
 // shared engine cache and injecting the cache-memoized sampling model
-// on resolution. The returned states parallel the items;
-// callers pass them to sweepSources after evaluation.
+// on resolution. The returned states parallel the items; the pipeline
+// passes them to sweepSources after evaluation.
 func (s *Server) lazyItems(plan evalPlan, lookup *storeLookup) ([]*sourceState, []query.MultiItem) {
 	states := make([]*sourceState, len(plan.targets))
 	items := make([]query.MultiItem, len(plan.targets))
@@ -719,21 +790,7 @@ func (s *Server) lazyItems(plan evalPlan, lookup *storeLookup) ([]*sourceState, 
 // point, so request-level errors always get a proper status line.
 func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (evalPlan, bool) {
 	var req EvalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return evalPlan{}, false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
-		return evalPlan{}, false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest,
-			errors.New("malformed request body: trailing content after the JSON document"))
+	if !s.decodeBody(w, r, &req) {
 		return evalPlan{}, false
 	}
 
@@ -839,111 +896,10 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (eval
 	return plan, true
 }
 
-// handleEval serves POST /v1/eval: the buffered evaluation path. A
-// request that outruns its deadline is not discarded: the 504 body is
-// a full EvalResponse carrying every finished result (exact,
-// byte-identical to its untimed value) plus per-slot deadline errors
-// for the queries that never ran, with the top-level status/error
-// fields naming the cause — the finished prefix is never lost.
-//
-// With a result store configured, the request reads through it first:
-// stored slots are answered from their persisted ResultDoc
-// (byte-identical to a fresh evaluation), only the missing slots are
-// evaluated, and systems whose every slot hit skip their engine build
-// entirely. Fresh deterministic results are written back (store.go
-// has the full contract).
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use POST", r.Method))
-		return
-	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-
-	plan, ok := s.decodeEvalRequest(w, r)
-	if !ok {
-		return
-	}
-	lookup := s.lookupStored(plan)
-	evalView, slotMap := reducePlan(plan, lookup)
-
-	// Engines are lazy sources, not a pre-built barrier: each system
-	// with un-stored work builds (through the shared cache) when the
-	// evaluator first reaches one of its slots, fully-hit systems cost
-	// zero engine rebuilds — which is what makes restart-without-
-	// recomputation literal — and a deadline mid-request leaves the
-	// unreached builds unstarted.
-	states, items := s.lazyItems(evalView, lookup)
-	// Per-query errors are already isolated in their result slots; the
-	// joined error adds nothing for a wire client.
-	results, _ := query.MultiBatch(items, evalView.evalOptions(ctx)...)
-	if err := s.sweepSources(ctx, states); err != nil {
-		// A genuine build failure (bad spec, builder domain error — or a
-		// context-flavoured error from a custom builder while this
-		// request is still live) is a plain request error, reported with
-		// the first failing target's error exactly as the retired
-		// barrier reported it. Context-cut builds fall through instead:
-		// their slots already carry per-slot deadline errors in an
-		// otherwise well-formed response.
-		writeError(w, statusOfEvalErr(err), err)
-		return
-	}
-
-	resp := EvalResponse{Results: make([]SystemResult, len(plan.targets))}
-	for i := range plan.targets {
-		docs := make([]query.ResultDoc, len(plan.batches[i]))
-		for j := range plan.batches[i] {
-			if hit := lookup.hit(i, j); hit != nil {
-				docs[j] = *hit
-			}
-		}
-		for jj, res := range results[i] {
-			orig := jj
-			if slotMap != nil {
-				orig = slotMap[i][jj]
-			}
-			docs[orig] = query.DocOf(res)
-			s.persistResult(ctx, lookup, plan.targets[i].key, i, orig, docs[orig])
-		}
-		resp.Results[i] = SystemResult{
-			System:    plan.specs[i],
-			Canonical: plan.targets[i].key,
-			Results:   docs,
-		}
-	}
-	if cause := context.Cause(ctx); cause != nil {
-		// Deadline truncation keeps the finished work: same body shape,
-		// 504 status, the cause named at the top level.
-		resp.Status = string(streamStatusOf(cause))
-		resp.Error = evalErrMessage(cause, s.timeout).Error()
-		writeJSON(w, statusOfEvalErr(cause), resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // isContextErr reports whether err is the expiry/cancellation of the
 // request context rather than a genuine request defect (the one
 // classifier every layer shares, exported from core).
 func isContextErr(err error) bool { return core.IsContextErr(err) }
-
-// streamStatusOf classifies a context cause for the wire: the same
-// deadline/cancelled vocabulary the stream terminal frame uses.
-func streamStatusOf(cause error) query.StreamStatus {
-	if errors.Is(cause, context.DeadlineExceeded) {
-		return query.StreamDeadline
-	}
-	return query.StreamCancelled
-}
 
 // isMissingJSON reports whether a raw batch field is absent for all
 // practical purposes: omitted entirely, or the JSON null literal
@@ -970,21 +926,6 @@ func statusOfEvalErr(err error) int {
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
-	}
-}
-
-// evalErrMessage renders an eval-path failure for the wire. Deadline
-// errors get a deterministic message naming the configured budget —
-// stable across runs, so clients (and the golden tests) can rely on
-// its shape.
-func evalErrMessage(err error, timeout time.Duration) error {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("request deadline exceeded: evaluation did not finish within the server's %v budget", timeout)
-	case errors.Is(err, context.Canceled):
-		return errors.New("request cancelled before evaluation finished")
-	default:
-		return err
 	}
 }
 

@@ -21,7 +21,9 @@
 //     request-shaped; the whole tier is bypassed, reads included),
 //   - error slots (including per-slot deadline errors),
 //   - slots finishing under an already-expired/cancelled request
-//     context (the request may be truncated; nothing is written),
+//     context (each slot is written as its frame arrives, so a
+//     truncated request keeps the slots that finished before its
+//     deadline, under either transport),
 //   - queries that do not serialize (opaque Go facts have no
 //     canonical document, hence no address).
 //
@@ -73,10 +75,10 @@ func (s *Server) storeStats() *StoreStats {
 	}
 	return &StoreStats{
 		Len:     n,
-		Hits:    s.storeHits.Load(),
-		Misses:  s.storeMisses.Load(),
-		Corrupt: s.storeCorrupt.Load(),
-		Writes:  s.storeWrites.Load(),
+		Hits:    s.stats.storeHits.Load(),
+		Misses:  s.stats.storeMisses.Load(),
+		Corrupt: s.stats.storeCorrupt.Load(),
+		Writes:  s.stats.storeWrites.Load(),
 	}
 }
 
@@ -129,17 +131,17 @@ func (s *Server) lookupStored(plan evalPlan) *storeLookup {
 			case err == nil:
 				var doc query.ResultDoc
 				if json.Unmarshal(data, &doc) == nil {
-					s.storeHits.Add(1)
+					s.stats.storeHits.Add(1)
 					lk.docs[i][j] = &doc
 					continue
 				}
 				// Hash-valid but not a ResultDoc: same refusal as a
 				// failed integrity check.
-				s.storeCorrupt.Add(1)
+				s.stats.storeCorrupt.Add(1)
 			case errors.Is(err, store.ErrCorrupt):
-				s.storeCorrupt.Add(1)
+				s.stats.storeCorrupt.Add(1)
 			default:
-				s.storeMisses.Add(1)
+				s.stats.storeMisses.Add(1)
 			}
 		}
 	}
@@ -214,9 +216,10 @@ func reducePlan(plan evalPlan, lk *storeLookup) (evalPlan, [][]int) {
 // persistResult writes one freshly computed slot back to the store,
 // applying the persistence contract: exact requests only (lookup nil
 // otherwise), addressable slots only, no error slots, no estimates,
-// and nothing once the request context has a cause — a truncated
-// request persists nothing, so a stored answer always equals an
-// untimed recompute.
+// and nothing once the request context has a cause. The pipeline calls
+// it as each frame arrives, so a deadline-cut request keeps the slots
+// that finished while it was live: a finished slot is exact, so a
+// stored answer always equals an untimed recompute.
 func (s *Server) persistResult(ctx context.Context, lk *storeLookup, system string, i, j int, doc query.ResultDoc) {
 	if lk == nil || lk.keys[i][j] == "" {
 		return
@@ -229,6 +232,6 @@ func (s *Server) persistResult(ctx context.Context, lk *storeLookup, system stri
 		return
 	}
 	if s.resultStore.Put(store.Entry{System: system, Query: lk.raws[i][j], Value: val}) == nil {
-		s.storeWrites.Add(1)
+		s.stats.storeWrites.Add(1)
 	}
 }

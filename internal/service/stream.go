@@ -1,12 +1,17 @@
-// The streaming transport: POST /v1/eval/stream speaks newline-
-// delimited JSON (NDJSON) over http.Flusher, one frame per line:
+// The /v1/eval pipeline and its two transports. evalFrames turns one
+// vetted request into wire frames: a StreamResultFrame per slot (two
+// under approx: the estimate, then the exact refinement) and exactly
+// one terminal StreamStatusFrame. POST /v1/eval/stream writes them as
+// newline-delimited JSON (NDJSON) over http.Flusher, one frame per
+// line:
 //
 //	{"frame":"result","system":0,"spec":"nsquad(2)","canonical":"...","index":1,"result":{...}}
 //	{"frame":"status","status":"complete"}
 //
-// Result frames carry exactly the ResultDoc the buffered /v1/eval path
-// would have returned for the same slot — byte-identical, pinned by
-// tests — and every stream ends with exactly one terminal status frame:
+// POST /v1/eval folds the same frames into one EvalResponse, so a
+// result frame carries exactly the ResultDoc the buffered response
+// holds for its slot, by construction. Every stream ends with exactly
+// one terminal status frame:
 //
 //	complete   every query evaluated (per-slot failures included)
 //	deadline   the request deadline expired; frames already emitted are
@@ -16,25 +21,35 @@
 //	           mid-stream engine build failure); carries the HTTP status
 //	           the failure would have had in "code"
 //
-// Store-served frames stream first, in (system, batch) order and under
+// The buffered transport answers the same terminal with its status
+// line: 200 on complete, 504 with the body's status/error set on a
+// deadline or cancellation, and the failure's errorDoc under its code.
+//
+// Store-served frames come first, in (system, batch) order and under
 // one flush; evaluated frames then arrive, each flushed on its own, in
 // completion order across ALL systems at once (serial parallelism
-// therefore streams in request order). Engines are lazy: each system's
-// engine builds when the evaluator's first worker reaches one of its
-// slots, so a cold multi-system request starts answering as soon as its
-// first engine is up — and systems the deadline cuts before any slot
-// starts never build at all.
+// therefore streams in request order). Each finished exact slot is
+// persisted as its frame arrives, while the request context is live.
+// Engines are lazy: each system's engine builds when the evaluator's
+// first worker reaches one of its slots, so a cold multi-system request
+// starts answering as soon as its first engine is up — and systems the
+// deadline cuts before any slot starts never build at all.
 //
 // Request-level failures BEFORE the first frame (bad body, unknown
 // scenario, caps, a cold build failing while nothing has streamed) are
 // ordinary JSON error responses with their own status line. After the
 // first flushed frame the status line is spent: failures become the
-// terminal "error" frame, never a second WriteHeader.
+// terminal "error" frame, never a second WriteHeader. The stream
+// therefore ends at the first frame whose engine build genuinely
+// failed; the buffered transport, which retracts nothing, lets the
+// evaluation run out and reports the first failing system in target
+// order, deterministic at any parallelism.
 package service
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -102,6 +117,9 @@ type streamWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher // nil when the ResponseWriter cannot flush
 	started bool
+	// err is the first failed write (the client is gone); every later
+	// write returns it without writing.
+	err error
 }
 
 func newStreamWriter(w http.ResponseWriter) *streamWriter {
@@ -122,10 +140,14 @@ func (sw *streamWriter) frame(v any) error {
 // hand at once reach the client in one flush. The first frame commits
 // the 200 status line and the NDJSON content type.
 func (sw *streamWriter) write(v any) error {
+	if sw.err != nil {
+		return sw.err
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		// Frames are fully materialized value types; this cannot fail.
 		// Guarded anyway so a future frame type can't commit a torn line.
+		sw.err = err
 		return err
 	}
 	if !sw.started {
@@ -133,8 +155,8 @@ func (sw *streamWriter) write(v any) error {
 		sw.w.WriteHeader(http.StatusOK)
 		sw.started = true
 	}
-	_, err = sw.w.Write(append(data, '\n'))
-	return err
+	_, sw.err = sw.w.Write(append(data, '\n'))
+	return sw.err
 }
 
 // flush sends every written frame to the client.
@@ -144,77 +166,92 @@ func (sw *streamWriter) flush() {
 	}
 }
 
-// fail reports a request-level failure in whichever shape is still
-// expressible: a plain JSON error with its own status line while
-// nothing has been flushed, or a terminal "error" status frame once
-// streaming has begun.
-func (sw *streamWriter) fail(status int, err error) {
-	if !sw.started {
-		writeError(sw.w, status, err)
+// end writes a pipeline's terminal frame. A request-level failure
+// (code != 0) that finds nothing flushed yet is still expressible as a
+// plain JSON error with its own status line; once streaming has begun
+// it travels as the terminal "error" frame itself.
+func (sw *streamWriter) end(terminal any, code int, msg string) {
+	if code != 0 && !sw.started {
+		writeJSON(sw.w, code, errorDoc{Error: msg})
 		return
 	}
-	_ = sw.frame(StreamStatusFrame{Frame: frameStatus, Status: streamStatusError, Code: status, Error: err.Error()})
+	_ = sw.frame(terminal)
 }
 
-// handleEvalStream serves POST /v1/eval/stream. It shares request
-// decoding with the buffered path, then streams one EvalMultiStream
-// over every system at once: each system's engine is a lazy source that
-// builds when the evaluator's first worker reaches one of its slots, so
-// system 0's results stream while system 3's engine is still unfolding,
-// a finished result reaches the client the moment its worker completes,
-// and a deadline mid-request leaves unreached builds unstarted —
-// truncation can only ever cost unfinished work.
-func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s not allowed; use POST", r.Method))
-		return
+// answer writes a buffered transport's response for its pipeline's
+// terminal: the failure's errorDoc under its code, 504 with body for a
+// deadline-cut or cancelled request (its finished prefix kept), 200
+// with body on completion.
+func answer(w http.ResponseWriter, t StreamStatusFrame, body any) {
+	switch t.Status {
+	case streamStatusError:
+		writeJSON(w, t.Code, errorDoc{Error: t.Error})
+	case string(query.StreamComplete):
+		writeJSON(w, http.StatusOK, body)
+	default:
+		writeJSON(w, http.StatusGatewayTimeout, body)
 	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
+}
 
-	plan, ok := s.decodeEvalRequest(w, r)
-	if !ok {
-		return
+// failed is the terminal frame of a request-level failure, carrying
+// the HTTP status the failure maps to.
+func failed(err error) StreamStatusFrame {
+	return StreamStatusFrame{Frame: frameStatus, Status: streamStatusError, Code: statusOfEvalErr(err), Error: err.Error()}
+}
+
+// ended is the terminal frame of a request that ran out: complete, or
+// the context's cause as deadline/cancelled. The deadline message names
+// the configured budget, not measured time, so clients (and the golden
+// tests) can rely on its shape.
+func (s *Server) ended(cause error) StreamStatusFrame {
+	t := StreamStatusFrame{Frame: frameStatus, Status: string(query.StreamComplete)}
+	switch {
+	case cause == nil:
+	case errors.Is(cause, context.DeadlineExceeded):
+		t.Status = string(query.StreamDeadline)
+		t.Error = fmt.Sprintf("request deadline exceeded: evaluation did not finish within the server's %v budget", s.timeout)
+	case errors.Is(cause, context.Canceled):
+		t.Status, t.Error = string(query.StreamCancelled), "request cancelled before evaluation finished"
+	default:
+		t.Status, t.Error = string(query.StreamCancelled), cause.Error()
 	}
+	return t
+}
+
+// evalFrames is the /v1/eval pipeline. It reads the plan through the
+// result store and puts every stored slot's frame first, in (system,
+// batch) order, then flushes; it then evaluates the remaining slots
+// over lazy engine sources in one EvalMultiStream and puts each frame
+// as it arrives, remapped to its original batch index, persisting
+// finished exact slots while the context is live. It returns the
+// request's one terminal frame. A put error (the client is gone) ends
+// the pipeline at once with a zero frame. failFast ends it at the first
+// frame of a system whose build genuinely failed; otherwise that
+// failure is the first one in target order, found once evaluation has
+// run out (sweepSources).
+func (s *Server) evalFrames(ctx context.Context, plan evalPlan, failFast bool,
+	put func(StreamResultFrame) error, flush func()) StreamStatusFrame {
 	lookup := s.lookupStored(plan)
 	evalView, slotMap := reducePlan(plan, lookup)
-
 	states, items := s.lazyItems(evalView, lookup)
-	sw := newStreamWriter(w)
-	// Stored slots stream first, across every system in (system, batch)
-	// order: they are on hand before any engine is, so they go out
-	// back to back under one flush. Fully-hit systems are thereby
-	// answered in full, engine-free.
+	frame := func(i, j int, stage query.Stage, doc query.ResultDoc) StreamResultFrame {
+		return StreamResultFrame{Frame: frameResult, System: i, Spec: plan.specs[i],
+			Canonical: plan.targets[i].key, Index: j, Stage: string(stage), Result: doc}
+	}
+
+	stored := false
 	for i := range plan.targets {
 		for j := range plan.batches[i] {
-			hit := lookup.hit(i, j)
-			if hit == nil {
-				continue
-			}
-			err := sw.write(StreamResultFrame{
-				Frame:     frameResult,
-				System:    i,
-				Spec:      plan.specs[i],
-				Canonical: plan.targets[i].key,
-				Index:     j,
-				Result:    *hit,
-			})
-			if err != nil {
-				return
+			if hit := lookup.hit(i, j); hit != nil {
+				if put(frame(i, j, "", *hit)) != nil {
+					return StreamStatusFrame{}
+				}
+				stored = true
 			}
 		}
 	}
-	if sw.started {
-		sw.flush()
+	if stored {
+		flush()
 	}
 	for f := range query.EvalMultiStream(items, evalView.evalOptions(ctx)...) {
 		if f.Terminal() {
@@ -222,14 +259,9 @@ func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 			// terminal below, where the context cause names the ending.
 			continue
 		}
-		if st := states[f.System]; st != nil {
+		if st := states[f.System]; failFast && st != nil {
 			if err := st.genuineBuildErr(ctx); err != nil {
-				// A genuine mid-stream build failure (bad spec, builder
-				// domain error) ends the stream request-level: a plain
-				// error response while nothing has flushed, the terminal
-				// "error" frame with its HTTP code otherwise.
-				sw.fail(statusOfEvalErr(err), err)
-				return
+				return failed(err)
 			}
 		}
 		orig := f.Index
@@ -237,35 +269,51 @@ func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 			orig = slotMap[f.System][f.Index]
 		}
 		doc := query.DocOf(f.Result)
-		if f.Stage != query.StageApprox {
-			s.persistResult(ctx, lookup, plan.targets[f.System].key, f.System, orig, doc)
-		}
-		err := sw.frame(StreamResultFrame{
-			Frame:     frameResult,
-			System:    f.System,
-			Spec:      plan.specs[f.System],
-			Canonical: plan.targets[f.System].key,
-			Index:     orig,
-			Stage:     string(f.Stage),
-			Result:    doc,
-		})
-		if err != nil {
+		s.persistResult(ctx, lookup, plan.targets[f.System].key, f.System, orig, doc)
+		if put(frame(f.System, orig, f.Stage, doc)) != nil {
 			// The client is gone; the buffered query stream drains
-			// itself, so just stop writing.
-			return
+			// itself, so just stop.
+			return StreamStatusFrame{}
 		}
+		flush()
 	}
 	if err := s.sweepSources(ctx, states); err != nil {
-		// A batchless probe's builder error surfaces request-level, as
-		// on the buffered path.
-		sw.fail(statusOfEvalErr(err), err)
-		return
+		// A genuine build failure (bad spec, builder domain error — or a
+		// context-flavoured error from a custom builder while the request
+		// is still live), a batchless probe's included, is a request
+		// error. Context-cut builds fall through: their slots already
+		// carry per-slot deadline errors.
+		return failed(err)
 	}
+	return s.ended(context.Cause(ctx))
+}
 
-	terminal := StreamStatusFrame{Frame: frameStatus, Status: string(query.StreamComplete)}
-	if cause := context.Cause(ctx); cause != nil {
-		terminal.Status = string(streamStatusOf(cause))
-		terminal.Error = evalErrMessage(cause, s.timeout).Error()
+// serveEvalStream is the NDJSON transport of /v1/eval/stream: each
+// frame reaches the client as the pipeline yields it.
+func (s *Server) serveEvalStream(ctx context.Context, w http.ResponseWriter, plan evalPlan) {
+	sw := newStreamWriter(w)
+	t := s.evalFrames(ctx, plan, true, func(f StreamResultFrame) error { return sw.write(f) }, sw.flush)
+	sw.end(t, t.Code, t.Error)
+}
+
+// serveEval is the buffered transport of /v1/eval: it folds the
+// pipeline's frames into one EvalResponse. The last frame for a slot
+// wins, so an exact frame replaces its approx estimate. A request that
+// outruns its deadline keeps its finished prefix: the 504 body carries
+// every finished result plus per-slot deadline errors for the queries
+// that never ran.
+func (s *Server) serveEval(ctx context.Context, w http.ResponseWriter, plan evalPlan) {
+	resp := EvalResponse{Results: make([]SystemResult, len(plan.targets))}
+	for i := range plan.targets {
+		resp.Results[i] = SystemResult{System: plan.specs[i], Canonical: plan.targets[i].key,
+			Results: make([]query.ResultDoc, len(plan.batches[i]))}
 	}
-	_ = sw.frame(terminal)
+	t := s.evalFrames(ctx, plan, false, func(f StreamResultFrame) error {
+		resp.Results[f.System].Results[f.Index] = f.Result
+		return nil
+	}, func() {})
+	if t.Status != string(query.StreamComplete) {
+		resp.Status, resp.Error = t.Status, t.Error
+	}
+	answer(w, t, resp)
 }
