@@ -45,35 +45,24 @@ type factRef struct {
 	b *binding
 }
 
-// refOf prepares f for the memo tables.
+// refOf prepares f for the memo tables. A prepared fact (a parsed one,
+// see logic.Prepare) already holds its spec, key and operator bits, and
+// is scanned through the fact it wraps; any other fact derives them
+// here, on every call.
 func refOf(f logic.Fact) factRef {
+	if p, ok := f.(*logic.Prepared); ok {
+		spec, _ := p.Spec()
+		ref := factRef{f: p.Fact, spec: spec, key: p.Key(), cacheable: true}
+		ref.measured, ref.epistemic = p.EpistemicOps()
+		return ref
+	}
 	spec, ok := logic.SpecOf(f)
 	if !ok {
 		return factRef{f: f}
 	}
 	ref := factRef{f: f, spec: spec, key: spec.Key(), cacheable: true}
-	ref.measured, ref.epistemic = epistemicOps(&spec)
+	ref.measured, ref.epistemic = spec.EpistemicOps()
 	return ref
-}
-
-// epistemicOps reports whether s contains believes, and whether it
-// contains believes or knows.
-func epistemicOps(s *logic.FactSpec) (believes, epistemic bool) {
-	switch s.Op {
-	case "believes":
-		return true, true
-	case "knows":
-		epistemic = true
-	}
-	if s.Arg != nil {
-		b, e := epistemicOps(s.Arg)
-		believes, epistemic = believes || b, epistemic || e
-	}
-	for i := range s.Args {
-		b, e := epistemicOps(&s.Args[i])
-		believes, epistemic = believes || b, epistemic || e
-	}
-	return believes, epistemic
 }
 
 // binding carries one scan's context into the nested scans of its
@@ -104,10 +93,27 @@ func (e *Engine) scanFact(ctx context.Context, ref factRef) (logic.Fact, *bindin
 	return f, b
 }
 
+// Bind returns f ready for evaluation at many points of the engine's
+// system, with its believes and knows nodes bound to the engine's memo
+// tables as the engine's own scans bind them (f itself, unwrapped if
+// prepared, when it has none). The sampled estimators of the
+// approximate tier evaluate facts this way, so a belief inside a
+// sampled fact is computed once per local state, not rescanned at every
+// sample. Evaluate the result on one goroutine, and call check after
+// each Holds: once a nested scan fails (ctx done), Holds answers false,
+// and check reports the failure so that it is never read as a verdict.
+func (e *Engine) Bind(ctx context.Context, f logic.Fact) (bound logic.Fact, check func() error) {
+	bound, b := e.scanFact(ctx, refOf(f))
+	if b == nil {
+		return bound, func() error { return nil }
+	}
+	return bound, func() error { return b.err }
+}
+
 // subRef prepares a bound node's subfact, which FromSpec built under b.
 func (b *binding) subRef(f logic.Fact, spec *logic.FactSpec) factRef {
 	ref := factRef{f: f, key: spec.Key(), cacheable: true}
-	ref.measured, ref.epistemic = epistemicOps(spec)
+	ref.measured, ref.epistemic = spec.EpistemicOps()
 	if ref.epistemic {
 		ref.b = b
 	}

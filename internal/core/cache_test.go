@@ -109,6 +109,10 @@ func TestEngineConcurrentQueries(t *testing.T) {
 					errs <- cerr
 					return
 				}
+				if _, cerr = e.ExplainIndependence(phi, "Alice", "fire"); cerr != nil {
+					errs <- cerr
+					return
+				}
 			}
 		}()
 	}

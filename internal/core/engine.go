@@ -104,8 +104,9 @@ type beliefKey struct {
 // Engine answers belief and constraint queries over a single pps. It is
 // safe for concurrent use, and it memoizes shared work behind
 // singleflight-style caches: the per-(agent, action) performance index,
-// the fact extensions φ@ℓ and φ@α, and the beliefs β_i(φ) at each local
-// state. Epistemic subfacts of a scanned fact read the same caches (see
+// the fact extensions φ@ℓ and φ@α, the beliefs β_i(φ) at each local
+// state, the Definition 4.1 reports and the past-based verdicts.
+// Epistemic subfacts of a scanned fact read the same caches (see
 // bind.go). Concurrent batches (see internal/query.EvalBatch) therefore
 // share work instead of recomputing it, and distinct cache keys are
 // computed in parallel rather than serialized behind one lock.
@@ -117,12 +118,15 @@ type Engine struct {
 	// live (see NewSeeded): perf and events are pure functions of the
 	// label shape, while mevents (the extensions of facts containing
 	// believes), beliefs and indeps depend on µ_T and are always
-	// per-engine.
+	// per-engine. So is pasts, Lemma 4.3(b)'s verdict per fact key: it
+	// reads which runs share a tree node, which SameShape does not
+	// compare (and a believes fact's verdict reads µ_T as well).
 	perf    *memo[actKey, *perfInfo]
 	events  *memo[eventKey, *runset.Set]
 	mevents *memo[eventKey, *runset.Set]
 	beliefs *memo[beliefKey, *big.Rat]
 	indeps  *memo[eventKey, IndependenceReport]
+	pasts   *memo[string, bool]
 }
 
 // New returns an Engine bound to sys with fresh memo tables.
@@ -134,6 +138,7 @@ func New(sys *pps.System) *Engine {
 		mevents: &memo[eventKey, *runset.Set]{},
 		beliefs: &memo[beliefKey, *big.Rat]{},
 		indeps:  &memo[eventKey, IndependenceReport]{},
+		pasts:   &memo[string, bool]{},
 	}
 }
 
@@ -157,7 +162,8 @@ func New(sys *pps.System) *Engine {
 // the two tables are shared LIVE: whichever engine scans first, the
 // other inherits the entry, in either order and concurrently. The
 // mevents, beliefs and indeps tables condition on µ_T — the one thing
-// SameShape deliberately ignores — so they are always fresh.
+// SameShape deliberately ignores — so they are always fresh, and so is
+// the pasts table (see Engine).
 //
 // shared reports whether sharing engaged; it is false (and the engine
 // is simply New(sys)) when neighbour is nil or the shapes differ, so
@@ -173,6 +179,7 @@ func NewSeeded(sys *pps.System, neighbour *Engine) (e *Engine, shared bool) {
 		mevents: &memo[eventKey, *runset.Set]{},
 		beliefs: &memo[beliefKey, *big.Rat]{},
 		indeps:  &memo[eventKey, IndependenceReport]{},
+		pasts:   &memo[string, bool]{},
 	}, true
 }
 

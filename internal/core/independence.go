@@ -83,12 +83,16 @@ const indepCtxInterval = 64
 // later caller with a live context recomputes the report rather than
 // inheriting another request's deadline.
 func (e *Engine) LocalStateIndependenceCtx(ctx context.Context, f logic.Fact, agent, action string) (IndependenceReport, error) {
+	return e.independence(ctx, refOf(f), agent, action)
+}
+
+// independence is LocalStateIndependenceCtx for a prepared fact.
+func (e *Engine) independence(ctx context.Context, ref factRef, agent, action string) (IndependenceReport, error) {
 	a, _, err := e.properFor(agent, action)
 	if err != nil {
 		return IndependenceReport{}, err
 	}
 	var report IndependenceReport
-	ref := refOf(f)
 	if ref.cacheable {
 		key := eventKey{fact: ref.key, agent: a, kind: eventIndep, at: action}
 		report, err = e.indeps.getCtx(ctx, key, func() (IndependenceReport, error) {
@@ -193,21 +197,50 @@ func (e *Engine) ExplainIndependence(f logic.Fact, agent, action string) (Indepe
 	return e.ExplainIndependenceCtx(context.Background(), f, agent, action)
 }
 
-// ExplainIndependenceCtx is ExplainIndependence with the Definition 4.1
-// scan bound to ctx (see LocalStateIndependenceCtx); the Lemma 4.3
-// condition checks are cheap and run to completion regardless.
+// ExplainIndependenceCtx is ExplainIndependence bound to ctx: the
+// Definition 4.1 scan (see LocalStateIndependenceCtx) and the
+// past-based scan both stop with the context's cause once it is done.
 func (e *Engine) ExplainIndependenceCtx(ctx context.Context, f logic.Fact, agent, action string) (IndependenceWitness, error) {
 	det, err := e.IsDeterministicAction(agent, action)
 	if err != nil {
 		return IndependenceWitness{}, err
 	}
-	report, err := e.LocalStateIndependenceCtx(ctx, f, agent, action)
+	ref := refOf(f)
+	report, err := e.independence(ctx, ref, agent, action)
+	if err != nil {
+		return IndependenceWitness{}, err
+	}
+	past, err := e.pastBased(ctx, ref)
 	if err != nil {
 		return IndependenceWitness{}, err
 	}
 	return IndependenceWitness{
 		Deterministic: det,
-		PastBased:     logic.IsPastBased(e.sys, f),
+		PastBased:     past,
 		Independent:   report.Independent,
 	}, nil
+}
+
+// pastBased is logic.IsPastBased for a prepared fact, memoized per fact
+// key in the engine's pasts table: the verdict is a pure function of
+// (system, fact), and without the memo every independence query
+// rescans every point. The scan evaluates the fact with its epistemic
+// nodes bound to the engine's memo tables, checks ctx every
+// indepCtxInterval runs, and never memoizes an abort.
+func (e *Engine) pastBased(ctx context.Context, ref factRef) (bool, error) {
+	compute := func() (bool, error) {
+		f, b := e.scanFact(ctx, ref)
+		past, err := logic.IsPastBasedCtx(ctx, e.sys, f, indepCtxInterval)
+		if b != nil && b.err != nil {
+			return false, b.err
+		}
+		if err != nil {
+			return false, fmt.Errorf("core: past-based scan aborted: %w", abortCause(ctx))
+		}
+		return past, nil
+	}
+	if !ref.cacheable {
+		return compute()
+	}
+	return e.pasts.getCtx(ctx, ref.key, compute)
 }

@@ -148,7 +148,20 @@ type factDoc struct {
 //	{"op":"implies","args":[P,Q]} / {"op":"iff","args":[P,Q]}
 //	{"op":"believes","agent":A,"p":"9/10","arg":F}  (B_A^p(F))
 //	{"op":"knows","agent":A,"arg":F}                (K_A(F))
+//
+// The fact is returned prepared (logic.Prepare): it carries its spec and
+// memo key, so the engine calls that evaluate it never re-derive them.
 func ParseFact(data []byte) (logic.Fact, error) {
+	f, err := parseFact(data)
+	if err != nil {
+		return nil, err
+	}
+	return logic.Prepare(f), nil
+}
+
+// parseFact is ParseFact without the preparation, which only the
+// top-level fact needs.
+func parseFact(data []byte) (logic.Fact, error) {
 	var doc factDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFact, err)
@@ -173,14 +186,14 @@ func ParseFact(data []byte) (logic.Fact, error) {
 	var arg logic.Fact
 	var args []logic.Fact
 	if readArg {
-		if arg, err = ParseFact(doc.Arg); err != nil {
+		if arg, err = parseFact(doc.Arg); err != nil {
 			return nil, err
 		}
 	}
 	if readArgs {
 		args = make([]logic.Fact, len(doc.Args))
 		for i, raw := range doc.Args {
-			if args[i], err = ParseFact(raw); err != nil {
+			if args[i], err = parseFact(raw); err != nil {
 				return nil, err
 			}
 		}

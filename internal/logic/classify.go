@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"context"
+
 	"pak/internal/pps"
 	"pak/internal/runset"
 )
@@ -31,28 +33,45 @@ func IsRunBased(sys *pps.System, f Fact) bool {
 // current global state, such as "A is attacking" or "the critical section
 // is empty", are past-based (paper, Section 4).
 func IsPastBased(sys *pps.System, f Fact) bool {
+	past, _ := IsPastBasedCtx(context.Background(), sys, f, 0)
+	return past
+}
+
+// IsPastBasedCtx is IsPastBased bound to a context: every `every` runs
+// (never, when every ≤ 0) it checks ctx, and once ctx is done it stops
+// with ctx's cause instead of a verdict.
+func IsPastBasedCtx(ctx context.Context, sys *pps.System, f Fact, every int) (bool, error) {
 	// Two runs agree up to time t iff they share the node at time t, so f
 	// is past-based iff its value at time t is a function of the node.
-	type verdict struct {
-		seen bool
-		val  bool
-	}
-	byNode := make(map[pps.NodeID]verdict)
+	const (
+		unseen byte = iota
+		holds
+		fails
+	)
+	byNode := make([]byte, sys.NumNodes())
 	for r := 0; r < sys.NumRuns(); r++ {
+		if every > 0 && r%every == every-1 {
+			if cause := context.Cause(ctx); cause != nil {
+				return false, cause
+			}
+		}
 		run := pps.RunID(r)
 		for t := 0; t < sys.RunLen(run); t++ {
-			node := sys.NodeAt(run, t)
-			val := f.Holds(sys, run, t)
-			if v, ok := byNode[node]; ok {
-				if v.val != val {
-					return false
-				}
-				continue
+			v := fails
+			if f.Holds(sys, run, t) {
+				v = holds
 			}
-			byNode[node] = verdict{seen: true, val: val}
+			node := sys.NodeAt(run, t)
+			switch byNode[node] {
+			case unseen:
+				byNode[node] = v
+			case v:
+			default:
+				return false, nil
+			}
 		}
 	}
-	return true
+	return true, nil
 }
 
 // RunsSatisfying returns the event of runs r with (sys, r) |= f, treating

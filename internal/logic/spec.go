@@ -7,7 +7,10 @@ package logic
 // escape-hatch predicates (Atom, LocalPred with an arbitrary predicate,
 // EnvPred) cannot: their behaviour lives in a Go closure.
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // FactSpec is the structural form of a serializable fact. Op names match
 // the JSON schema of internal/encode (see encode.ParseFact); the other
@@ -151,4 +154,78 @@ func (s *FactSpec) appendKey(b []byte) []byte {
 		b = append(b, ']')
 	}
 	return append(b, ')')
+}
+
+// EpistemicOps reports which epistemic operators s contains: believes
+// (whose extensions depend on the prior µ_T), and believes or knows
+// (which the engine binds to its memo tables before a scan).
+func (s *FactSpec) EpistemicOps() (believes, epistemic bool) {
+	switch s.Op {
+	case "believes":
+		return true, true
+	case "knows":
+		epistemic = true
+	}
+	if s.Arg != nil {
+		b, e := s.Arg.EpistemicOps()
+		believes, epistemic = believes || b, epistemic || e
+	}
+	for i := range s.Args {
+		b, e := s.Args[i].EpistemicOps()
+		believes, epistemic = believes || b, epistemic || e
+	}
+	return believes, epistemic
+}
+
+// Prepared is a fact whose structural form is derived once: its spec
+// and EpistemicOps bits at preparation, the spec's Key and the fact's
+// display string on first use. A parsed fact (encode.ParseFact)
+// arrives prepared, so the engine calls of a request find its memo
+// entries without walking the spec tree and rendering the key on every
+// call, and its result labels render it once. (Key and String wait for
+// first use because a request answered from the result store reads
+// only the spec.) A Prepared evaluates, renders and reports its spec
+// exactly as the fact it wraps; it is safe for concurrent use.
+type Prepared struct {
+	Fact
+	spec                FactSpec
+	believes, epistemic bool
+
+	keyOnce, strOnce sync.Once
+	key, str         string
+}
+
+// Prepare returns f prepared, or f itself when it is already prepared
+// or has no structural form (an opaque predicate).
+func Prepare(f Fact) Fact {
+	if _, ok := f.(*Prepared); ok {
+		return f
+	}
+	spec, ok := SpecOf(f)
+	if !ok {
+		return f
+	}
+	p := &Prepared{Fact: f, spec: spec}
+	p.believes, p.epistemic = spec.EpistemicOps()
+	return p
+}
+
+// Spec implements Speccer with the spec derived at preparation. The
+// returned spec shares its subtrees with the prepared one, so callers
+// must not mutate them.
+func (p *Prepared) Spec() (FactSpec, bool) { return p.spec, true }
+
+// EpistemicOps is the spec's EpistemicOps.
+func (p *Prepared) EpistemicOps() (believes, epistemic bool) { return p.believes, p.epistemic }
+
+// Key is the spec's Key, rendered once.
+func (p *Prepared) Key() string {
+	p.keyOnce.Do(func() { p.key = p.spec.Key() })
+	return p.key
+}
+
+// String is the wrapped fact's String, rendered once.
+func (p *Prepared) String() string {
+	p.strOnce.Do(func() { p.str = p.Fact.String() })
+	return p.str
 }

@@ -10,6 +10,14 @@
 // the confidence interval.
 //
 // All sampling is deterministic given the seed.
+//
+// Radii are exact rational upper bounds (rational.go). Their costly
+// part, the upper bound on ln(2/δ), is computed by a Confidence, at most
+// once per Confidence: the query layer builds one per request when it
+// normalizes the request's approx spec (query.ApproxSpec), and every
+// estimate of that request reads it; the float tier below shares one
+// for its fixed δ = 1/100. RadiusRat and SampleSize remain the
+// uncached, self-contained forms.
 package montecarlo
 
 import (
@@ -56,8 +64,12 @@ func (e Estimate) String() string {
 }
 
 // delta99 is the fixed confidence parameter of the float-radius tier:
-// every Estimate carries a 99% interval (δ = 1/100).
-var delta99 = big.NewRat(1, 100)
+// every Estimate carries a 99% interval (δ = 1/100); conf99 derives its
+// ln(2/δ) bound once for all of them.
+var (
+	delta99 = big.NewRat(1, 100)
+	conf99  = NewConfidence(delta99)
+)
 
 // hoeffdingRadius returns the two-sided 99% Hoeffding radius for n
 // samples as the float64 view of the exact rational bound
@@ -68,7 +80,7 @@ var delta99 = big.NewRat(1, 100)
 // strict upper bound on sqrt(ln(200)/(2n)) and the interval never
 // under-covers (pinned by TestRadiusNeverUnderCovers).
 func hoeffdingRadius(n int) float64 {
-	f, _ := RadiusRat(n, delta99).Float64()
+	f, _ := conf99.Radius(n).Float64()
 	return f
 }
 
@@ -89,29 +101,37 @@ func NewSampler(sys *pps.System, seed int64) *Sampler {
 	return NewModel(sys).Sampler(seed)
 }
 
+// next draws one child of the internal node according to its
+// transition probabilities.
+func (s *Sampler) next(node pps.NodeID) pps.NodeID {
+	cum := s.model.cum[node]
+	x := s.rng.Float64() * cum[len(cum)-1]
+	idx := 0
+	for idx < len(cum)-1 && x > cum[idx] {
+		idx++
+	}
+	return s.sys.ChildrenShared(node)[idx]
+}
+
 // SampleNodePath draws one root-to-leaf node path according to the tree's
 // transition probabilities.
 func (s *Sampler) SampleNodePath() []pps.NodeID {
 	var path []pps.NodeID
-	node := pps.Root
-	for !s.sys.IsLeaf(node) {
-		children := s.sys.ChildrenOf(node)
-		cum := s.model.cum[node]
-		x := s.rng.Float64() * cum[len(cum)-1]
-		idx := 0
-		for idx < len(cum)-1 && x > cum[idx] {
-			idx++
-		}
-		node = children[idx]
+	for node := pps.Root; !s.sys.IsLeaf(node); {
+		node = s.next(node)
 		path = append(path, node)
 	}
 	return path
 }
 
-// SampleRun draws one run (as a RunID) according to µ_T.
+// SampleRun draws one run (as a RunID) according to µ_T. It makes the
+// draws SampleNodePath makes, without recording the path.
 func (s *Sampler) SampleRun() pps.RunID {
-	path := s.SampleNodePath()
-	return s.model.leafRun[path[len(path)-1]]
+	node := pps.Root
+	for !s.sys.IsLeaf(node) {
+		node = s.next(node)
+	}
+	return s.model.leafRun[node]
 }
 
 // EstimateEvent estimates µ_T of the event defined by pred over n samples.

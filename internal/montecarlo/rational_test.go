@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -122,7 +123,7 @@ func TestSampleSize(t *testing.T) {
 
 func TestEstimateRat(t *testing.T) {
 	delta := big.NewRat(1, 100)
-	e := NewEstimateRat(30, 100, delta)
+	e := NewEstimateRat(30, 100, NewConfidence(delta))
 	if got := e.P.RatString(); got != "3/10" {
 		t.Fatalf("P = %s, want 3/10", got)
 	}
@@ -143,17 +144,17 @@ func TestEstimateRat(t *testing.T) {
 	}
 
 	// Clamping: an estimate near the boundary keeps [Lo, Hi] ⊆ [0, 1].
-	edge := NewEstimateRat(0, 100, delta)
+	edge := NewEstimateRat(0, 100, NewConfidence(delta))
 	if edge.Lo.Sign() != 0 {
 		t.Fatalf("Lo = %s, want clamped to 0", edge.Lo.RatString())
 	}
-	full := NewEstimateRat(100, 100, delta)
+	full := NewEstimateRat(100, 100, NewConfidence(delta))
 	if full.Hi.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Fatalf("Hi = %s, want clamped to 1", full.Hi.RatString())
 	}
 
 	// n == 0: the trivially sound "no information" interval [0, 1].
-	empty := NewEstimateRat(0, 0, delta)
+	empty := NewEstimateRat(0, 0, NewConfidence(delta))
 	if empty.Lo.Sign() != 0 || empty.Hi.Cmp(big.NewRat(1, 1)) != 0 || empty.N != 0 {
 		t.Fatalf("empty estimate = %v, want 1/2 ± 1/2 over [0,1]", empty)
 	}
@@ -163,7 +164,7 @@ func TestEstimateRat(t *testing.T) {
 
 	// The mean form: Hoeffding covers [0,1]-valued means, not just
 	// frequencies.
-	mean := NewEstimateRatMean(big.NewRat(5, 8), 64, big.NewRat(1, 20))
+	mean := NewEstimateRatMean(big.NewRat(5, 8), 64, NewConfidence(big.NewRat(1, 20)))
 	if mean.P.RatString() != "5/8" || mean.N != 64 {
 		t.Fatalf("mean estimate = %v", mean)
 	}
@@ -186,6 +187,152 @@ func TestModelSamplerEquivalence(t *testing.T) {
 		c.SampleRun()
 		if ra != rb {
 			t.Fatalf("sample %d: NewSampler drew run %d, Model.Sampler drew %d", i, ra, rb)
+		}
+	}
+}
+
+// lnUpperRat is lnUpperBits's bound evaluated term by term in big.Rat
+// arithmetic — the reference its integer evaluation must match exactly.
+func lnUpperRat(x *big.Rat, bits uint) *big.Rat {
+	r := new(big.Rat).Set(x)
+	m := int64(0)
+	for r.Cmp(ratTwo) >= 0 {
+		r.Quo(r, ratTwo)
+		m++
+	}
+	y := new(big.Rat).Sub(r, ratOne)
+	y.Quo(y, new(big.Rat).Add(r, ratOne))
+	y2 := new(big.Rat).Mul(y, y)
+	sum := new(big.Rat)
+	term := new(big.Rat).Set(y) // y^(2k+1)
+	tol := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 64))
+	for k := int64(0); term.Sign() > 0; k++ {
+		sum.Add(sum, new(big.Rat).Quo(term, big.NewRat(2*k+1, 1)))
+		term.Mul(term, y2)
+		if term.Cmp(tol) < 0 {
+			break
+		}
+	}
+	sum.Add(sum, new(big.Rat).Quo(term, new(big.Rat).Sub(ratOne, y2)))
+	sum.Mul(sum, ratTwo)
+	if m > 0 {
+		sum.Add(sum, new(big.Rat).Mul(big.NewRat(m, 1), big.NewRat(693147180559945310, 1e18)))
+	}
+	return roundUpDyadic(sum, bits)
+}
+
+// TestLnUpperMatchesRatSeries: the integer evaluation of the ln bound
+// equals the term-by-term big.Rat evaluation exactly, on powers of two
+// (y = 0), on 2/δ for the δ a request may carry, and on random
+// rationals with numerators and denominators up to 2^100 — at the
+// wire's 2^-48 rounding, and at 2^-256, fine enough that a slip in the
+// series or its 2^-64-sized tail cannot round away.
+func TestLnUpperMatchesRatSeries(t *testing.T) {
+	xs := []*big.Rat{big.NewRat(1, 1), big.NewRat(2, 1), big.NewRat(4, 1), big.NewRat(3, 2), big.NewRat(1<<62, 1),
+		big.NewRat(2_000_000_000, 1), big.NewRat(200, 1), big.NewRat(1_000_001, 1_000_000), big.NewRat(14, 3)}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 400; i++ {
+		den := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(1+rng.Intn(100))))
+		den.Add(den, big.NewInt(1))
+		num := new(big.Int).Rand(rng, den) // δ = num/den ∈ [0, 1)
+		if num.Sign() == 0 {
+			continue
+		}
+		xs = append(xs, new(big.Rat).Quo(ratTwo, new(big.Rat).SetFrac(num, den)))
+	}
+	for _, x := range xs {
+		for _, bits := range []uint{48, 256} {
+			if got, want := lnUpperBits(x, bits), lnUpperRat(x, bits); got.Cmp(want) != 0 {
+				t.Errorf("lnUpperBits(%s, %d) = %s, the big.Rat series gives %s", x.RatString(), bits, got.RatString(), want.RatString())
+			}
+		}
+	}
+}
+
+// refRadius is the radius computed the way RadiusRat computed it before
+// the ln(2/δ) bound moved into Confidence: a fresh big.Rat series,
+// divided in place.
+func refRadius(n int, delta *big.Rat) *big.Rat {
+	if n <= 0 || !validDelta(delta) {
+		return big.NewRat(1, 1)
+	}
+	l := lnUpperRat(new(big.Rat).Quo(ratTwo, delta), 48)
+	l.Quo(l, big.NewRat(2*int64(n), 1))
+	r := roundUpDyadic(sqrtUpper(l), 30)
+	if r.Cmp(ratOne) > 0 {
+		return big.NewRat(1, 1)
+	}
+	return r
+}
+
+// TestConfidenceMatchesRadiusRat: one Confidence per δ, reused across a
+// grid of sample counts the way one request reuses it across its slots,
+// yields exactly the bytes of the uncached RadiusRat (and of the
+// pre-Confidence computation) at every (n, δ), in either order of first
+// use, and leaves SampleSize unchanged.
+func TestConfidenceMatchesRadiusRat(t *testing.T) {
+	var ns []int
+	for n := 1; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 100, 1000, 4096, 1<<20)
+	deltas := []*big.Rat{
+		big.NewRat(1, 100), big.NewRat(1, 3), big.NewRat(99, 100), big.NewRat(1, 1_000_000_000),
+		big.NewRat(3, 7), big.NewRat(2, 11), big.NewRat(13, 1000), big.NewRat(7, 9),
+	}
+	epss := []*big.Rat{big.NewRat(1, 20), big.NewRat(1, 10), big.NewRat(1, 3), big.NewRat(2, 7)}
+	for _, delta := range deltas {
+		forward, backward := NewConfidence(delta), NewConfidence(delta)
+		for i, n := range ns {
+			want := RadiusRat(n, delta).RatString()
+			if ref := refRadius(n, delta).RatString(); ref != want {
+				t.Fatalf("RadiusRat(%d, %s) = %s, the pre-Confidence computation gives %s", n, delta.RatString(), want, ref)
+			}
+			if got := forward.Radius(n).RatString(); got != want {
+				t.Errorf("Confidence(%s).Radius(%d) = %s, RadiusRat gives %s", delta.RatString(), n, got, want)
+			}
+			m := ns[len(ns)-1-i]
+			if got, want := backward.Radius(m).RatString(), RadiusRat(m, delta).RatString(); got != want {
+				t.Errorf("Confidence(%s).Radius(%d) = %s, RadiusRat gives %s", delta.RatString(), m, got, want)
+			}
+		}
+		for _, eps := range epss {
+			want, wantErr := SampleSize(eps, delta)
+			got, err := forward.SampleSize(eps)
+			if got != want || (err == nil) != (wantErr == nil) {
+				t.Errorf("Confidence(%s).SampleSize(%s) = (%d, %v), SampleSize gives (%d, %v)",
+					delta.RatString(), eps.RatString(), got, err, want, wantErr)
+			}
+		}
+		// The estimate constructors read the same radius.
+		if got, want := NewEstimateRat(3, 17, forward).Radius.RatString(), RadiusRat(17, delta).RatString(); got != want {
+			t.Errorf("NewEstimateRat radius at δ=%s = %s, want %s", delta.RatString(), got, want)
+		}
+	}
+	// Degenerate δ: trivial radius, SampleSize's delta error.
+	for _, delta := range []*big.Rat{nil, big.NewRat(0, 1), big.NewRat(1, 1), big.NewRat(3, 2)} {
+		c := NewConfidence(delta)
+		if got := c.Radius(10).RatString(); got != "1" {
+			t.Errorf("Confidence(%v).Radius(10) = %s, want 1", delta, got)
+		}
+		_, err := c.SampleSize(big.NewRat(1, 10))
+		_, want := SampleSize(big.NewRat(1, 10), delta)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("Confidence(%v).SampleSize err = %v, SampleSize err = %v", delta, err, want)
+		}
+	}
+}
+
+// TestSampleRunFollowsNodePath: SampleRun makes exactly the draws
+// SampleNodePath makes, so two samplers with one seed land on the same
+// run whichever of the two each calls.
+func TestSampleRunFollowsNodePath(t *testing.T) {
+	model := NewModel(fsSystem(t))
+	runs, paths := model.Sampler(11), model.Sampler(11)
+	for i := 0; i < 200; i++ {
+		path := paths.SampleNodePath()
+		if got, want := runs.SampleRun(), model.leafRun[path[len(path)-1]]; got != want {
+			t.Fatalf("sample %d: SampleRun drew run %d, SampleNodePath ended in run %d", i, got, want)
 		}
 	}
 }

@@ -21,6 +21,11 @@ func (s *System) ChildrenOf(id NodeID) []NodeID {
 	return append([]NodeID(nil), s.nodes[id].children...)
 }
 
+// ChildrenShared is ChildrenOf without the defensive copy: the returned
+// slice is the system's own and MUST NOT be mutated. For internal read
+// paths (the montecarlo sampler reads one child per step).
+func (s *System) ChildrenShared(id NodeID) []NodeID { return s.nodes[id].children }
+
 // DepthOf returns the depth of node id (root = 0). A node at depth d
 // corresponds to time d-1.
 func (s *System) DepthOf(id NodeID) int { return s.nodes[id].depth }

@@ -49,8 +49,8 @@ func SameShape(a, b *System) bool {
 // shapeSignature renders every label SameShape compares into one
 // canonical byte string and caches it on the System. Each label is
 // length-prefixed, so the encoding is injective on shapes — two systems
-// share a signature exactly when sameShapeWalk accepts them (a
-// differential the shape tests pin). Signature equality is a single
+// share a signature exactly when a direct label-by-label walk finds
+// them equal (sameShapeWalk, the differential shape_test.go pins). Signature equality is a single
 // memcmp; the walk it replaces re-touches every node label on every
 // call.
 func (s *System) shapeSignature() string {
@@ -90,45 +90,4 @@ func (s *System) shapeSignature() string {
 		s.shapeSig = b.String()
 	})
 	return s.shapeSig
-}
-
-// sameShapeWalk is the direct label-by-label reading of shape equality,
-// kept as the differential reference for the signature encoding.
-func sameShapeWalk(a, b *System) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.agents) != len(b.agents) || len(a.runs) != len(b.runs) {
-		return false
-	}
-	for i := range a.agents {
-		if a.agents[i] != b.agents[i] {
-			return false
-		}
-	}
-	for r := range a.runs {
-		if len(a.runs[r]) != len(b.runs[r]) {
-			return false
-		}
-		for t := range a.runs[r] {
-			na, nb := &a.nodes[a.runs[r][t]], &b.nodes[b.runs[r][t]]
-			if na.env != nb.env || na.envAct != nb.envAct {
-				return false
-			}
-			for ag := range a.agents {
-				if na.locals[ag] != nb.locals[ag] {
-					return false
-				}
-			}
-			if len(na.acts) != len(nb.acts) {
-				return false
-			}
-			for ag := range na.acts {
-				if na.acts[ag] != nb.acts[ag] {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

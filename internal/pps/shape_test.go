@@ -103,3 +103,44 @@ func TestShapeSignatureInjective(t *testing.T) {
 		}
 	}
 }
+
+// sameShapeWalk is the direct label-by-label reading of shape equality,
+// kept as the differential reference for the signature encoding.
+func sameShapeWalk(a, b *System) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.agents) != len(b.agents) || len(a.runs) != len(b.runs) {
+		return false
+	}
+	for i := range a.agents {
+		if a.agents[i] != b.agents[i] {
+			return false
+		}
+	}
+	for r := range a.runs {
+		if len(a.runs[r]) != len(b.runs[r]) {
+			return false
+		}
+		for t := range a.runs[r] {
+			na, nb := &a.nodes[a.runs[r][t]], &b.nodes[b.runs[r][t]]
+			if na.env != nb.env || na.envAct != nb.envAct {
+				return false
+			}
+			for ag := range a.agents {
+				if na.locals[ag] != nb.locals[ag] {
+					return false
+				}
+			}
+			if len(na.acts) != len(nb.acts) {
+				return false
+			}
+			for ag := range na.acts {
+				if na.acts[ag] != nb.acts[ag] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}

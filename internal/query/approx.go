@@ -74,10 +74,16 @@ type ApproxSpec struct {
 	// samples alone (kinds outside the approximable set still evaluate
 	// exactly).
 	Only bool
+
+	// conf is Delta's confidence level, set by normalized: every
+	// estimate of one evaluation reads its ln(2/δ) bound, which is
+	// therefore derived at most once per request.
+	conf *montecarlo.Confidence
 }
 
 // normalized validates the spec and fills defaults, resolving the
-// sample budget. It never mutates the receiver.
+// sample budget and the confidence level its estimates share. It never
+// mutates the receiver.
 func (a ApproxSpec) normalized() (ApproxSpec, error) {
 	if a.Delta == nil {
 		a.Delta = ratutil.R(1, 100)
@@ -93,11 +99,12 @@ func (a ApproxSpec) normalized() (ApproxSpec, error) {
 	if a.Samples < 0 {
 		return a, fmt.Errorf("query: approx sample budget must be positive, got %d", a.Samples)
 	}
+	a.conf = montecarlo.NewConfidence(a.Delta)
 	if a.Samples == 0 {
 		if a.Eps == nil {
 			return a, fmt.Errorf("query: approx requires eps or an explicit sample budget")
 		}
-		n, err := montecarlo.SampleSize(a.Eps, a.Delta)
+		n, err := a.conf.SampleSize(a.Eps)
 		if err != nil {
 			return a, fmt.Errorf("query: approx: %w", err)
 		}
@@ -213,7 +220,7 @@ func evalApproxSlot(item MultiItem, model *montecarlo.Model, sys, idx int, cfg c
 		}
 	}()
 	seed := slotSeed(cfg.approx.Seed, sys, idx)
-	est, err := approxEval(item.Engine, model, qu, *cfg.approx, seed)
+	est, err := approxEval(cfg.ctx, item.Engine, model, qu, *cfg.approx, seed)
 	if err != nil {
 		return Result{Kind: qu.Kind(), Query: qu.String(), Err: err}
 	}
@@ -228,7 +235,10 @@ func evalApproxSlot(item MultiItem, model *montecarlo.Model, sys, idx int, cfg c
 
 // approxEval dispatches to the per-kind estimator. The returned
 // Estimate is fully determined by (engine's system, query, spec, seed).
-func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpec, seed int64) (*Estimate, error) {
+// Facts evaluated per sample are bound to the engine (core.Engine.Bind),
+// so believes and knows inside them read the engine's memo tables; ctx
+// cuts the nested scans that fill them.
+func approxEval(ctx context.Context, e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpec, seed int64) (*Estimate, error) {
 	s := model.Sampler(seed)
 	sys := model.System()
 	switch qq := q.(type) {
@@ -236,6 +246,7 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 		if err := e.IsProper(qq.Agent, qq.Action); err != nil {
 			return nil, err
 		}
+		f, check := e.Bind(ctx, qq.Fact)
 		hits, acting := 0, 0
 		for k := 0; k < spec.Samples; k++ {
 			r := s.SampleRun()
@@ -247,11 +258,14 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 				continue
 			}
 			acting++
-			if qq.Fact.Holds(sys, r, t) {
+			if f.Holds(sys, r, t) {
 				hits++
 			}
+			if err := check(); err != nil {
+				return nil, err
+			}
 		}
-		return newEstimate(montecarlo.NewEstimateRat(hits, acting, spec.Delta), spec, seed), nil
+		return newEstimate(montecarlo.NewEstimateRat(hits, acting, spec.conf), spec, seed), nil
 
 	case BeliefQuery:
 		a, ok := sys.AgentIndex(qq.Agent)
@@ -262,6 +276,7 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 		if !ok {
 			return nil, fmt.Errorf("%w: agent %q state %q", core.ErrUnknownLocal, qq.Agent, qq.Local)
 		}
+		f, check := e.Bind(ctx, qq.Fact)
 		hits, reached := 0, 0
 		for k := 0; k < spec.Samples; k++ {
 			r := s.SampleRun()
@@ -269,11 +284,14 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 				continue
 			}
 			reached++
-			if qq.Fact.Holds(sys, r, tm) {
+			if f.Holds(sys, r, tm) {
 				hits++
 			}
+			if err := check(); err != nil {
+				return nil, err
+			}
 		}
-		return newEstimate(montecarlo.NewEstimateRat(hits, reached, spec.Delta), spec, seed), nil
+		return newEstimate(montecarlo.NewEstimateRat(hits, reached, spec.conf), spec, seed), nil
 
 	case ThresholdQuery:
 		if err := e.IsProper(qq.Agent, qq.Action); err != nil {
@@ -298,7 +316,7 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 				hits++
 			}
 		}
-		return newEstimate(montecarlo.NewEstimateRat(hits, acting, spec.Delta), spec, seed), nil
+		return newEstimate(montecarlo.NewEstimateRat(hits, acting, spec.conf), spec, seed), nil
 
 	case ExpectationQuery:
 		if err := e.IsProper(qq.Agent, qq.Action); err != nil {
@@ -326,7 +344,7 @@ func approxEval(e *core.Engine, model *montecarlo.Model, q Query, spec ApproxSpe
 		if acting > 0 {
 			mean = sum.Quo(sum, big.NewRat(int64(acting), 1))
 		}
-		return newEstimate(montecarlo.NewEstimateRatMean(mean, acting, spec.Delta), spec, seed), nil
+		return newEstimate(montecarlo.NewEstimateRatMean(mean, acting, spec.conf), spec, seed), nil
 	}
 	return nil, fmt.Errorf("query: %s is not approximable", stringOf(q))
 }
