@@ -65,7 +65,9 @@ bench-service:
 # incremental independence scan cold vs seeded, and the exact-arithmetic
 # measure kernel vs the naive big.Rat fold (both tiers, both shapes),
 # and the unfold alone (nsquad n=2..4), the layer every cold assignment
-# pays before its engine exists, and a believes fact at a fresh level on
+# pays before its engine exists, and the shape gate seeding pays per
+# cold assignment (nsquad(4), fresh and resident systems), and a
+# believes fact at a fresh level on
 # a warm nsquad(4) engine (the engine-bound epistemic scan), and a
 # buffered four-system shared batch answered wholly from a disk store
 # (the store read path).
@@ -73,7 +75,7 @@ bench-service:
 # after touching the engine's memo tables, the shape gate, the kernel,
 # the unfold or the store.
 bench-sweep:
-	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold|BeliefFlood|StoreReplaySharedBatch' -benchmem .
+	$(GO) test -run xxx -bench 'EnvelopeSharedCache|EnvelopeStructureSharing|IndependenceIncremental|MeasureKernel|PerfNSquadUnfold|SameShape|BeliefFlood|StoreReplaySharedBatch' -benchmem .
 
 # Bench-compile smoke: run every benchmark in every package exactly once,
 # so CI catches a benchmark that no longer compiles or dies on its first

@@ -318,6 +318,45 @@ func BenchmarkPerfNSquadUnfold(b *testing.B) {
 	}
 }
 
+// BenchmarkSameShape prices the structure-sharing gate on two nsquad(4)
+// systems at different losses (same labels, same tree): "cold" compares
+// a resident system with a freshly built one on every iteration (the
+// build is outside the timer), the case of a sweep seeding each new
+// assignment's engine from its neighbour's; "warm" compares the same
+// two systems again and again.
+func BenchmarkSameShape(b *testing.B) {
+	build := func(loss string) *pak.System {
+		sys, err := pak.NFiringSquadSystem(4, pak.MustRat(loss), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sys
+	}
+	b.Run("cold", func(b *testing.B) {
+		x := build("1/10")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			y := build("1/5")
+			b.StartTimer()
+			if !pps.SameShape(x, y) {
+				b.Fatal("loss neighbours compared unequal")
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		x, y := build("1/10"), build("1/5")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !pps.SameShape(x, y) {
+				b.Fatal("loss neighbours compared unequal")
+			}
+		}
+	})
+}
+
 // BenchmarkE15QueryBatch regenerates the query-layer invariants (batch =
 // serial, exact, order-preserving) per iteration.
 func BenchmarkE15QueryBatch(b *testing.B) {

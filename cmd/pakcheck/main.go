@@ -410,10 +410,11 @@ func parseApproxFlag(s string, only bool) (*pak.ApproxSpec, error) {
 			return nil, fmt.Errorf("unknown key %q (have eps, delta, samples, seed)", key)
 		}
 	}
-	if err := spec.Validate(); err != nil {
+	norm, err := spec.Normalized()
+	if err != nil {
 		return nil, err
 	}
-	return &spec, nil
+	return &norm, nil
 }
 
 // estimateStr renders a sampled estimate's interval and provenance.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"sync"
 
 	"pak/internal/pps"
 	"pak/internal/runset"
@@ -66,6 +67,10 @@ type perfInfo struct {
 	// re-deciding does_i(α) per (state, run); locals are exactly its
 	// keys. Shared cache entries: treat the sets as immutable.
 	atLocal map[string]*runset.Set
+	// detOnce/det lazily hold IsDeterministicAction's verdict. Like the
+	// rest of the entry it reads only labels, so seeded engines share it.
+	detOnce sync.Once
+	det     bool
 }
 
 // eventKind distinguishes the two cached fact-extension shapes.
@@ -327,22 +332,29 @@ func (e *Engine) IsDeterministicAction(agent, action string) (bool, error) {
 		return false, err
 	}
 	info := e.perfFor(a, action)
+	info.detOnce.Do(func() { info.det = e.deterministic(a, action, info) })
+	return info.det, nil
+}
+
+// deterministic computes IsDeterministicAction's verdict once per perf
+// entry: at each local state where the agent performs the action, the
+// runs through it that perform the action there must be all or none.
+func (e *Engine) deterministic(a pps.AgentID, action string, info *perfInfo) bool {
 	for _, local := range info.locals {
 		occ, tm, ok := e.sys.OccursShared(a, local)
 		if !ok {
 			continue // unreachable: locals come from occurrences
 		}
-		performedHere := e.sys.NewSet()
+		performed := 0
 		occ.ForEach(func(r int) bool {
-			act, actOK := e.sys.Action(pps.RunID(r), tm, a)
-			if actOK && act == action {
-				performedHere.Add(r)
+			if act, ok := e.sys.Action(pps.RunID(r), tm, a); ok && act == action {
+				performed++
 			}
 			return true
 		})
-		if !performedHere.Equal(occ) && !performedHere.IsEmpty() {
-			return false, nil
+		if performed != 0 && performed != occ.Count() {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }

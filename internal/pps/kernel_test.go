@@ -2,6 +2,7 @@ package pps
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -216,5 +217,176 @@ func TestKernelAllocsPinned(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { sys.MeasureIntersect(a, b) }); avg > 6 {
 		t.Errorf("warm MeasureIntersect allocates %.1f objects/op, want ≤ 6", avg)
+	}
+}
+
+// referenceRunProb is µ_T(r) folded in big.Rat along the run's edges,
+// the product Build carried before its word tier existed.
+func referenceRunProb(sys *System, r RunID) *big.Rat {
+	pr := ratutil.One()
+	for t := 0; t < sys.RunLen(r); t++ {
+		pr = ratutil.Mul(pr, sys.EdgeProbShared(sys.NodeAt(r, t)))
+	}
+	return pr
+}
+
+// checkRunProbsMatchReference holds every stored µ_T(r) to the big.Rat
+// fold, byte for byte.
+func checkRunProbsMatchReference(t *testing.T, sys *System, label string) {
+	t.Helper()
+	for r := RunID(0); int(r) < sys.NumRuns(); r++ {
+		if got, want := sys.RunProb(r).RatString(), referenceRunProb(sys, r).RatString(); got != want {
+			t.Fatalf("%s: µ_T(%d) = %s, big.Rat fold %s", label, r, got, want)
+		}
+	}
+}
+
+// sameKernel reports whether two kernels hold the same D and scaled
+// numerators in the same tier.
+func sameKernel(a, b *measureKernel) bool {
+	if a.denom.Cmp(b.denom) != 0 || len(a.nums64) != len(b.nums64) || len(a.numsBig) != len(b.numsBig) {
+		return false
+	}
+	for r := range a.nums64 {
+		if a.nums64[r] != b.nums64[r] {
+			return false
+		}
+	}
+	for r := range a.numsBig {
+		if a.numsBig[r].Cmp(b.numsBig[r]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Build carries µ_T in machine words while the products fit, and the
+// kernel is built from those words when D fits too. These tests hold
+// both to the big.Rat reference across the three word-tier outcomes:
+// every run and D fit; every run fits but D does not; a product
+// overflows mid-tree.
+
+// TestWordProductsAllFit: on random trees every run product and D fit
+// a word, so the kernel comes from the words, and it equals the kernel
+// the big.Int construction derives from runPr.
+func TestWordProductsAllFit(t *testing.T) {
+	systems := []*System{squadLike(t, 3, "e1", "alpha", "g1"), buildDiamond(t)}
+	for seed := int64(0); seed < 25; seed++ {
+		sys, err := randomTree(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	for i, sys := range systems {
+		label := fmt.Sprintf("system %d", i)
+		if sys.runWords == nil {
+			t.Fatalf("%s: a run product left the word tier", label)
+		}
+		checkRunProbsMatchReference(t, sys, label)
+		words := sys.wordKernel()
+		if words == nil || words.nums64 == nil {
+			t.Fatalf("%s: kernel not built from the word products", label)
+		}
+		if !sameKernel(words, sys.bigKernel()) {
+			t.Fatalf("%s: word-built kernel differs from the big.Int construction", label)
+		}
+		checkKernelEdgeEvents(t, sys, label)
+		if sys.runWords != nil {
+			t.Fatalf("%s: word products kept after the kernel exists", label)
+		}
+		for evSeed := int64(0); evSeed < 4; evSeed++ {
+			checkKernelAgainstNaive(t, sys, randomEvent(sys, evSeed), randomEvent(sys, evSeed+100), fmt.Sprintf("%s/ev %d", label, evSeed))
+		}
+	}
+}
+
+// TestWordProductsDenominatorOverflows: every run product fits a word
+// (denominators 2·p₁ and 2·p₂), but D = 2·p₁·p₂ ≈ 2⁶⁵ does not, so the
+// kernel falls back to the big.Int construction and its big tier.
+func TestWordProductsDenominatorOverflows(t *testing.T) {
+	const (
+		p1 = 4294967291
+		p2 = 4294967279
+	)
+	b := NewBuilder("i")
+	for k, p := range []int64{p1, p2} {
+		g := b.Init(ratutil.R(1, 2), "e", fmt.Sprintf("g0%d", k))
+		b.Child(g, Step{Pr: ratutil.R(1, p), Acts: []string{"a"}, Env: "e", Locals: []string{fmt.Sprintf("g1a%d", k)}})
+		b.Child(g, Step{Pr: ratutil.R(p-1, p), Acts: []string{"b"}, Env: "e", Locals: []string{fmt.Sprintf("g1b%d", k)}})
+	}
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.runWords == nil {
+		t.Fatal("a run product left the word tier")
+	}
+	checkRunProbsMatchReference(t, sys, "D overflow")
+	if sys.wordKernel() != nil {
+		t.Fatal("word kernel built although D does not fit a word")
+	}
+	k := sys.measureKernel()
+	if k.numsBig == nil || k.denom.IsUint64() {
+		t.Fatalf("D = %s: kernel not in the big tier", k.denom)
+	}
+	if !sameKernel(k, sys.bigKernel()) {
+		t.Fatal("kernel differs from the big.Int construction")
+	}
+	checkKernelEdgeEvents(t, sys, "D overflow")
+	for evSeed := int64(0); evSeed < 4; evSeed++ {
+		checkKernelAgainstNaive(t, sys, randomEvent(sys, evSeed), randomEvent(sys, evSeed+100), fmt.Sprintf("D overflow/ev %d", evSeed))
+	}
+}
+
+// TestWordProductsOverflowMidTree: one initial state's subtree has
+// three levels of ~2³² prime denominators, so its run products leave
+// the word tier at the third level and continue in big.Rat; the other
+// subtree's stay in words. Every stored product must still equal the
+// big.Rat fold, and the kernel the big.Int construction.
+func TestWordProductsOverflowMidTree(t *testing.T) {
+	const (
+		p1 = 4294967291
+		p2 = 4294967279
+		p3 = 4294967231
+	)
+	b := NewBuilder("i")
+	deep := b.Init(ratutil.R(1, 2), "e", "g0a")
+	level := []NodeID{deep}
+	for depth, p := range []int64{p1, p2, p3} {
+		var next []NodeID
+		for n, u := range level {
+			next = append(next,
+				b.Child(u, Step{Pr: ratutil.R(1, p), Acts: []string{"a"}, Env: "e", Locals: []string{fmt.Sprintf("g%da%d", depth+1, n)}}),
+				b.Child(u, Step{Pr: ratutil.R(p-1, p), Acts: []string{"b"}, Env: "e", Locals: []string{fmt.Sprintf("g%db%d", depth+1, n)}}))
+		}
+		level = next
+	}
+	shallow := b.Init(ratutil.R(1, 2), "e", "g0b")
+	b.Child(shallow, Step{Pr: ratutil.R(1, 3), Acts: []string{"a"}, Env: "e", Locals: []string{"g1c"}})
+	b.Child(shallow, Step{Pr: ratutil.R(2, 3), Acts: []string{"b"}, Env: "e", Locals: []string{"g1d"}})
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.runWords != nil {
+		t.Fatal("overflowed run products reported as word-sized")
+	}
+	fits := 0
+	for r := RunID(0); int(r) < sys.NumRuns(); r++ {
+		if sys.RunProbShared(r).Denom().IsUint64() {
+			fits++
+		}
+	}
+	if fits != 2 || sys.NumRuns() != 10 {
+		t.Fatalf("%d of %d runs word-sized, want 2 of 10", fits, sys.NumRuns())
+	}
+	checkRunProbsMatchReference(t, sys, "mid-tree overflow")
+	if !sameKernel(sys.measureKernel(), sys.bigKernel()) {
+		t.Fatal("kernel differs from the big.Int construction")
+	}
+	checkKernelEdgeEvents(t, sys, "mid-tree overflow")
+	for evSeed := int64(0); evSeed < 4; evSeed++ {
+		checkKernelAgainstNaive(t, sys, randomEvent(sys, evSeed), randomEvent(sys, evSeed+100), fmt.Sprintf("mid-tree overflow/ev %d", evSeed))
 	}
 }

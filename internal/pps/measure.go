@@ -9,7 +9,12 @@ package pps
 //   - Once per system (lazily, on first measure query) it computes the
 //     shared denominator D = lcm of the runPr denominators and the
 //     scaled integer numerators num[r] = µ_T(r)·D, which are exact
-//     because D is a common denominator.
+//     because D is a common denominator. Build carries every µ_T(r) as
+//     a reduced fraction of machine words while it fits one, so when
+//     all runs do and D fits a word too, the kernel is built from those
+//     words with no big.Int arithmetic (wordKernel); otherwise it is
+//     built from runPr (bigKernel). Either way Build's words are dropped
+//     once the kernel exists.
 //   - A measure query is then a word-at-a-time walk of the event's
 //     bitset summing integers, with exactly ONE final big.Rat reduction
 //     (SetFrac's normalization) to put the sum over D in lowest terms.
@@ -50,33 +55,68 @@ type measureKernel struct {
 	numsBig []*big.Int
 }
 
-// measureKernel returns the lazily built kernel for the system.
+// measureKernel returns the lazily built kernel for the system, and
+// drops Build's word-tier products once the kernel exists.
 func (s *System) measureKernel() *measureKernel {
 	s.kernelOnce.Do(func() {
-		k := &measureKernel{denom: big.NewInt(1)}
-		gcd := new(big.Int)
-		for _, pr := range s.runPr {
-			d := pr.Denom()
-			gcd.GCD(nil, nil, k.denom, d)
-			k.denom.Quo(k.denom, gcd)
-			k.denom.Mul(k.denom, d)
+		s.kernel = s.wordKernel()
+		if s.kernel == nil {
+			s.kernel = s.bigKernel()
 		}
-		nums := make([]*big.Int, len(s.runPr))
-		for r, pr := range s.runPr {
-			scale := new(big.Int).Quo(k.denom, pr.Denom())
-			nums[r] = scale.Mul(scale, pr.Num())
-		}
-		if k.denom.IsUint64() {
-			k.nums64 = make([]uint64, len(nums))
-			for r, n := range nums {
-				k.nums64[r] = n.Uint64()
-			}
-		} else {
-			k.numsBig = nums
-		}
-		s.kernel = k
+		s.runWords = nil
 	})
 	return s.kernel
+}
+
+// wordKernel builds the uint64-tier kernel from Build's reduced word
+// products when every run has one and D fits a word, with no big.Int
+// arithmetic; it returns nil otherwise. Each num[r] = (D/d_r)·n_r is at
+// most D (µ_T(r) ≤ 1), so none of them overflows.
+func (s *System) wordKernel() *measureKernel {
+	if s.runWords == nil {
+		return nil
+	}
+	d := uint64(1)
+	for _, w := range s.runWords {
+		hi, lcm := bits.Mul64(d/gcd64(d, w[1]), w[1])
+		if hi != 0 {
+			return nil
+		}
+		d = lcm
+	}
+	nums := make([]uint64, len(s.runWords))
+	for r, w := range s.runWords {
+		nums[r] = d / w[1] * w[0]
+	}
+	return &measureKernel{denom: new(big.Int).SetUint64(d), nums64: nums}
+}
+
+// bigKernel builds the kernel from runPr with big.Int arithmetic: the
+// path for systems with a run product or a D that does not fit a word.
+// It still selects the uint64 tier when D turns out to fit one.
+func (s *System) bigKernel() *measureKernel {
+	k := &measureKernel{denom: big.NewInt(1)}
+	gcd := new(big.Int)
+	for _, pr := range s.runPr {
+		d := pr.Denom()
+		gcd.GCD(nil, nil, k.denom, d)
+		k.denom.Quo(k.denom, gcd)
+		k.denom.Mul(k.denom, d)
+	}
+	nums := make([]*big.Int, len(s.runPr))
+	for r, pr := range s.runPr {
+		scale := new(big.Int).Quo(k.denom, pr.Denom())
+		nums[r] = scale.Mul(scale, pr.Num())
+	}
+	if k.denom.IsUint64() {
+		k.nums64 = make([]uint64, len(nums))
+		for r, n := range nums {
+			k.nums64[r] = n.Uint64()
+		}
+	} else {
+		k.numsBig = nums
+	}
+	return k
 }
 
 // word64 sums the scaled numerators of the set bits of one bitset word

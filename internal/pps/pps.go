@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -76,16 +77,21 @@ var (
 	ErrDuplicateAgent = errors.New("pps: duplicate agent name")
 )
 
-// node is the internal representation of a tree node.
+// node is the internal representation of a tree node. A node's local
+// states, recorded actions and children live in flat per-system arrays
+// (System.locals, System.acts, System.kids), not in per-node slices.
+// Its indexes are int32: at 56 bytes a node, 2^31 nodes would take
+// 120 GB, and the protocol unfold stops far below that.
 type node struct {
-	parent   NodeID
-	pr       *big.Rat // probability of the edge from parent; nil for the root
-	children []NodeID
-	depth    int // root = 0; a node at depth d corresponds to time d-1
-	env      string
-	locals   []string // one per agent; nil for the root
-	acts     []string // actions performed at the parent state; nil for depth <= 1
-	envAct   string   // environment action taken at the parent state
+	parent int32 // the parent's NodeID; -1 for the root
+	depth  int32 // root = 0; a node at depth d corresponds to time d-1
+	// acts locates the actions the agents performed at the parent state:
+	// System.acts[acts : acts+n] for n agents; -1 for depth <= 1.
+	// Siblings of one joint action share one entry.
+	acts   int32
+	pr     *big.Rat // probability of the edge from parent; nil for the root
+	env    string
+	envAct string // environment action taken at the parent state
 }
 
 // localKey identifies a local state of a particular agent.
@@ -103,25 +109,39 @@ type occInfo struct {
 
 // System is an immutable, validated purely probabilistic system. Create one
 // with a Builder. All methods are safe for concurrent use.
+//
+// Storage is sized exactly to the tree and keeps none of the builder's
+// growth slack: the nodes, their local states (locals), their recorded
+// joint actions (acts) and their child lists (kids) are flat arrays,
+// every run's path is a sub-slice of one array of points, and the
+// word-sized run probabilities share one array of big.Rat.
 type System struct {
 	agents   []string
 	agentIdx map[string]AgentID
 	nodes    []node
-	runs     [][]NodeID // runs[r][t] = node of run r at time t
-	runPr    []*big.Rat
-	occ      map[localKey]occInfo
-	maxTime  int
+	// locals holds node id's local states at locals[(id-1)*n : id*n],
+	// for n agents; the root λ has none.
+	locals []string
+	// acts holds the recorded joint actions the nodes point into.
+	acts []string
+	// kids holds node id's children at kids[kidsAt[id]:kidsAt[id+1]], in
+	// creation order.
+	kids    []NodeID
+	kidsAt  []int
+	runs    [][]NodeID // runs[r][t] = node of run r at time t
+	runPr   []*big.Rat
+	occ     map[localKey]occInfo
+	maxTime int
 
 	// kernelOnce/kernel lazily cache the exact-arithmetic measure kernel:
 	// the shared-denominator integer view of runPr that Measure, Cond and
-	// the fused set-measure ops sum over (see measure.go).
+	// the fused set-measure ops sum over (see measure.go). runWords is
+	// Build's reduced machine-word form of every µ_T(r), {num, den}, kept
+	// only while the kernel does not exist yet (nil when some run
+	// product left the word tier); the kernel's construction consumes it.
 	kernelOnce sync.Once
 	kernel     *measureKernel
-
-	// shapeOnce/shapeSig lazily cache the canonical shape signature that
-	// SameShape compares (see shape.go).
-	shapeOnce sync.Once
-	shapeSig  string
+	runWords   [][2]uint64
 }
 
 // Step describes one child of an existing node: the transition probability,
@@ -146,21 +166,25 @@ type Step struct {
 // Build, so construction code can chain calls without per-call checks.
 type Builder struct {
 	agents []string
-	nodes  []node
+	nodes  blocks[node]
+	locals blocks[string] // every non-root node's local states, in node order
+	acts   blocks[string] // the recorded joint actions, one entry per run of equal ones
 	err    error
 
 	// Nodes are immutable once added, so equal values share one copy:
 	// prs holds the edge probabilities seen so far whose numerator and
-	// denominator fit an int64, and lastActs is the previous node's acts
-	// copy, which siblings of one joint action reuse.
+	// denominator fit an int64, and lastActs is the offset of the last
+	// joint action stored, which siblings of one joint action reuse
+	// (-1 before any).
 	prs      map[[2]int64]*big.Rat
-	lastActs []string
+	lastActs int32
 }
 
 // NewBuilder returns a Builder for a system over the given agents. Agent
 // names must be non-empty and distinct.
 func NewBuilder(agents ...string) *Builder {
-	b := &Builder{nodes: []node{{parent: -1, depth: 0}}}
+	b := &Builder{lastActs: -1}
+	b.nodes.add(node{parent: -1, depth: 0, acts: -1})
 	if len(agents) == 0 {
 		b.fail(fmt.Errorf("%w", ErrNoAgents))
 		return b
@@ -211,7 +235,7 @@ func (b *Builder) addChild(parent NodeID, s Step) NodeID {
 	if b.err != nil {
 		return -1
 	}
-	if parent < 0 || int(parent) >= len(b.nodes) {
+	if parent < 0 || int(parent) >= b.nodes.n {
 		b.fail(fmt.Errorf("%w: node %d does not exist", ErrBadParent, parent))
 		return -1
 	}
@@ -223,33 +247,47 @@ func (b *Builder) addChild(parent NodeID, s Step) NodeID {
 		b.fail(fmt.Errorf("%w: %d locals for %d agents", ErrArity, len(s.Locals), len(b.agents)))
 		return -1
 	}
-	depth := b.nodes[parent].depth + 1
-	var acts []string
+	depth := b.nodes.at(int(parent)).depth + 1
+	acts := int32(-1)
 	if depth >= 2 {
 		if len(s.Acts) != len(b.agents) {
 			b.fail(fmt.Errorf("%w: %d acts for %d agents", ErrArity, len(s.Acts), len(b.agents)))
 			return -1
 		}
-		if !slices.Equal(s.Acts, b.lastActs) {
-			b.lastActs = append([]string(nil), s.Acts...)
+		if !b.sameAsLastActs(s.Acts) {
+			b.lastActs = int32(b.acts.n)
+			b.acts.add(s.Acts...)
 		}
 		acts = b.lastActs
 	} else if len(s.Acts) != 0 {
 		b.fail(fmt.Errorf("%w: initial states cannot record actions", ErrArity))
 		return -1
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, node{
-		parent: parent,
-		pr:     b.sharedPr(s.Pr),
+	id := NodeID(b.nodes.n)
+	b.nodes.add(node{
+		parent: int32(parent),
 		depth:  depth,
-		env:    s.Env,
-		locals: append([]string(nil), s.Locals...),
 		acts:   acts,
+		pr:     b.sharedPr(s.Pr),
+		env:    s.Env,
 		envAct: s.EnvAct,
 	})
-	b.nodes[parent].children = append(b.nodes[parent].children, id)
+	b.locals.add(s.Locals...)
 	return id
+}
+
+// sameAsLastActs reports whether acts equals the last joint action
+// stored.
+func (b *Builder) sameAsLastActs(acts []string) bool {
+	if b.lastActs < 0 {
+		return false
+	}
+	for a, act := range acts {
+		if *b.acts.at(int(b.lastActs) + a) != act {
+			return false
+		}
+	}
+	return true
 }
 
 // sharedPr returns an immutable copy of pr, shared with every earlier
@@ -278,31 +316,48 @@ func (b *Builder) Build() (*System, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.nodes[Root].children) == 0 {
+	sys := &System{
+		agents:   b.agents,
+		agentIdx: make(map[string]AgentID, len(b.agents)),
+		nodes:    b.nodes.flat(),
+		locals:   b.locals.flat(),
+		acts:     b.acts.flat(),
+	}
+	for i, a := range b.agents {
+		sys.agentIdx[a] = AgentID(i)
+	}
+	// The child lists are derived once from the parent array, by a
+	// counting sort that keeps creation order among siblings.
+	sys.kidsAt = make([]int, len(sys.nodes)+1)
+	for _, n := range sys.nodes[1:] {
+		sys.kidsAt[n.parent+1]++
+	}
+	for id := range sys.nodes {
+		sys.kidsAt[id+1] += sys.kidsAt[id]
+	}
+	sys.kids = make([]NodeID, len(sys.nodes)-1)
+	next := slices.Clone(sys.kidsAt[:len(sys.nodes)])
+	for id, n := range sys.nodes[1:] {
+		sys.kids[next[n.parent]] = NodeID(id + 1)
+		next[n.parent]++
+	}
+	if len(sys.children(Root)) == 0 {
 		return nil, ErrNoInitial
 	}
 	// Outgoing probabilities at every internal node (including the root)
 	// must sum to exactly 1.
-	for id, n := range b.nodes {
-		if len(n.children) == 0 {
+	for id := range sys.nodes {
+		kids := sys.children(NodeID(id))
+		if len(kids) == 0 {
 			continue
 		}
-		if !ratutil.SumIsOne(len(n.children), func(i int) *big.Rat { return b.nodes[n.children[i]].pr }) {
+		if !ratutil.SumIsOne(len(kids), func(i int) *big.Rat { return sys.nodes[kids[i]].pr }) {
 			total := new(big.Rat)
-			for _, c := range n.children {
-				total.Add(total, b.nodes[c].pr)
+			for _, c := range kids {
+				total.Add(total, sys.nodes[c].pr)
 			}
 			return nil, fmt.Errorf("%w: node %d sums to %s", ErrProbSum, id, total.RatString())
 		}
-	}
-
-	sys := &System{
-		agents:   b.agents,
-		agentIdx: make(map[string]AgentID, len(b.agents)),
-		nodes:    b.nodes,
-	}
-	for i, a := range b.agents {
-		sys.agentIdx[a] = AgentID(i)
 	}
 
 	// One depth-first traversal (leftmost leaf first) enumerates the runs,
@@ -310,33 +365,35 @@ func (b *Builder) Build() (*System, error) {
 	// index. The first pass sizes it: a run per leaf, a point per node on
 	// its path.
 	nRuns, nPoints := 0, 0
-	for _, n := range sys.nodes[1:] {
-		if len(n.children) == 0 {
+	for id, n := range sys.nodes[1:] {
+		if len(sys.children(NodeID(id+1))) == 0 {
 			nRuns++
-			nPoints += n.depth
+			nPoints += int(n.depth)
 		}
 	}
 	sys.runs = make([][]NodeID, 0, nRuns)
 	sys.runPr = make([]*big.Rat, 0, nRuns)
+	sys.runWords = make([][2]uint64, 0, nRuns)
 	sys.occ = make(map[localKey]occInfo)
 	points := make([]NodeID, 0, nPoints) // backs every run's path
 	var path []NodeID
 	var onPath []*runset.Set // occurrence sets of the path's locals, by depth then agent
 	// visit carries the cumulative product of the edge probabilities down
-	// the tree: each node pays at most one Mul, and an edge of probability
-	// 1 shares its parent's product (µ_T values are never modified). It
-	// checks synchrony — every local-state string at a single time — as it
+	// the tree (see runProduct): an edge of probability 1 shares its
+	// parent's product, and µ_T values are never modified. It checks
+	// synchrony — every local-state string at a single time — as it
 	// first meets each node; preorder is the order in which a run-by-run
 	// scan first meets them, so the first conflict reported is that scan's.
-	var visit func(id NodeID, pr *big.Rat) error
-	visit = func(id NodeID, pr *big.Rat) error {
+	var visit func(id NodeID, pr runProduct) error
+	visit = func(id NodeID, pr runProduct) error {
 		n := &sys.nodes[id]
-		t := n.depth - 1
+		t := int(n.depth) - 1
 		if !ratutil.IsOne(n.pr) {
-			pr = ratutil.Mul(pr, n.pr)
+			pr = pr.mul(n.pr)
 		}
 		path = append(path, id)
-		for a, local := range n.locals {
+		locals := sys.localsOf(id)
+		for a, local := range locals {
 			key := localKey{AgentID(a), local}
 			info, seen := sys.occ[key]
 			if !seen {
@@ -348,33 +405,187 @@ func (b *Builder) Build() (*System, error) {
 			}
 			onPath = append(onPath, info.set)
 		}
-		if len(n.children) == 0 {
+		kids := sys.children(id)
+		if len(kids) == 0 {
 			r := len(sys.runs)
 			start := len(points)
 			points = append(points, path...)
 			sys.runs = append(sys.runs, points[start:len(points):len(points)])
-			sys.runPr = append(sys.runPr, pr)
+			// A word-tier run's rational is filled in after the walk.
+			sys.runPr = append(sys.runPr, pr.big)
+			sys.runWords = append(sys.runWords, [2]uint64{pr.num, pr.den})
 			sys.maxTime = max(sys.maxTime, t)
 			for _, set := range onPath {
 				set.Add(r)
 			}
 		}
-		for _, c := range n.children {
+		for _, c := range kids {
 			if err := visit(c, pr); err != nil {
 				return err
 			}
 		}
 		path = path[:len(path)-1]
-		onPath = onPath[:len(onPath)-len(n.locals)]
+		onPath = onPath[:len(onPath)-len(locals)]
 		return nil
 	}
-	one := ratutil.One()
-	for _, c := range sys.nodes[Root].children {
-		if err := visit(c, one); err != nil {
+	for _, c := range sys.children(Root) {
+		if err := visit(c, runProduct{num: 1, den: 1}); err != nil {
 			return nil, err
 		}
 	}
+	// The word-tier runs' rationals share one exactly sized array.
+	words := 0
+	for _, pr := range sys.runPr {
+		if pr == nil {
+			words++
+		}
+	}
+	wordPr := make([]big.Rat, words)
+	for r, w := range sys.runWords {
+		if sys.runPr[r] == nil {
+			sys.runPr[r] = setWords(&wordPr[0], w)
+			wordPr = wordPr[1:]
+		}
+	}
+	if words < nRuns {
+		sys.runWords = nil // some run left the word tier
+	}
 	return sys, nil
+}
+
+// blocks is the builder's append-only storage: elements go into blocks
+// that double in size (16, 16, 32, 64, …), so a growing tree never
+// copies what it already holds, and flat concatenates them once into
+// one exactly sized slice, so a System keeps no growth slack.
+type blocks[T any] struct {
+	full [][]T // the filled blocks, in order
+	last []T   // the block being filled
+	n    int   // the number of elements in all
+}
+
+// minBlock is the size of the first two blocks; block k ≥ 1 holds
+// elements [minBlock·2^(k-1), minBlock·2^k).
+const minBlock = 16
+
+func (b *blocks[T]) add(vs ...T) {
+	for len(vs) > 0 {
+		if len(b.last) == cap(b.last) {
+			if b.last != nil {
+				b.full = append(b.full, b.last)
+			}
+			b.last = make([]T, 0, max(minBlock, b.n))
+		}
+		k := min(len(vs), cap(b.last)-len(b.last))
+		b.last = append(b.last, vs[:k]...)
+		vs = vs[k:]
+		b.n += k
+	}
+}
+
+// at returns element i (0 ≤ i < n).
+func (b *blocks[T]) at(i int) *T {
+	k, start := 0, 0
+	if i >= minBlock {
+		k = bits.Len(uint(i / minBlock))
+		start = minBlock << (k - 1)
+	}
+	if k == len(b.full) {
+		return &b.last[i-start]
+	}
+	return &b.full[k][i-start]
+}
+
+// flat returns every element in order, in a slice with no spare
+// capacity.
+func (b *blocks[T]) flat() []T {
+	if b.full == nil && len(b.last) == cap(b.last) {
+		return b.last
+	}
+	out := make([]T, 0, b.n)
+	for _, blk := range b.full {
+		out = append(out, blk...)
+	}
+	return append(out, b.last...)
+}
+
+// runProduct is a run-prefix product of edge probabilities: the reduced
+// fraction num/den of machine words while both fit, and big (num = den
+// = 0) once a product overflowed a word, for the rest of that subtree.
+type runProduct struct {
+	num, den uint64
+	big      *big.Rat
+}
+
+// mul returns p·pr. In the word tier it cross-cancels before
+// multiplying (gcd(num, pr's den) and gcd(pr's num, den)), so the
+// product of two reduced fractions comes out reduced, and it leaves the
+// tier only when a reduced factor does not fit a word.
+func (p runProduct) mul(pr *big.Rat) runProduct {
+	if p.big == nil {
+		pn, pd := pr.Num(), pr.Denom()
+		if pn.IsUint64() && pd.IsUint64() {
+			a, d := p.num, pd.Uint64()
+			g := gcd64(a, d)
+			a, d = a/g, d/g
+			b, c := pn.Uint64(), p.den
+			g = gcd64(b, c)
+			b, c = b/g, c/g
+			hiN, num := bits.Mul64(a, b)
+			hiD, den := bits.Mul64(c, d)
+			if hiN == 0 && hiD == 0 {
+				return runProduct{num: num, den: den}
+			}
+		}
+		p.big = new(big.Rat).SetFrac(new(big.Int).SetUint64(p.num), new(big.Int).SetUint64(p.den))
+	}
+	return runProduct{big: ratutil.Mul(p.big, pr)}
+}
+
+// setWords sets z to the word-tier product w = {num, den} and returns
+// it. num/den is already in lowest terms, so it is written through Num
+// and Denom (references once z is initialized) without big.Rat's GCD
+// normalization.
+func setWords(z *big.Rat, w [2]uint64) *big.Rat {
+	z.SetUint64(w[0])
+	if w[1] != 1 {
+		z.Denom().SetUint64(w[1])
+	}
+	return z
+}
+
+// gcd64 returns the greatest common divisor of a and b (gcd(0, b) = b).
+func gcd64(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// localsOf returns node id's local states, one per agent (nil for the
+// root), as a sub-slice of the system's own storage.
+func (s *System) localsOf(id NodeID) []string {
+	if id == Root {
+		return nil
+	}
+	n := len(s.agents)
+	return s.locals[(int(id)-1)*n : int(id)*n : int(id)*n]
+}
+
+// actsOf returns the joint action recorded on the edge into node id
+// (nil at depth <= 1), as a sub-slice of the system's own storage.
+func (s *System) actsOf(id NodeID) []string {
+	at := int(s.nodes[id].acts)
+	if at < 0 {
+		return nil
+	}
+	n := len(s.agents)
+	return s.acts[at : at+n : at+n]
+}
+
+// children returns node id's children in creation order, as a
+// sub-slice of the system's own storage.
+func (s *System) children(id NodeID) []NodeID {
+	return s.kids[s.kidsAt[id]:s.kidsAt[id+1]:s.kidsAt[id+1]]
 }
 
 // Agents returns a copy of the agent names in index order.
@@ -419,7 +630,7 @@ func (s *System) Env(r RunID, t int) string { return s.nodes[s.runs[r][t]].env }
 
 // Local returns agent a's local state in run r at time t.
 func (s *System) Local(r RunID, t int, a AgentID) string {
-	return s.nodes[s.runs[r][t]].locals[a]
+	return s.localsOf(s.runs[r][t])[a]
 }
 
 // Action returns the action performed by agent a at time t of run r, if
@@ -429,7 +640,7 @@ func (s *System) Action(r RunID, t int, a AgentID) (string, bool) {
 	if t+1 >= len(s.runs[r]) {
 		return "", false
 	}
-	return s.nodes[s.runs[r][t+1]].acts[a], true
+	return s.actsOf(s.runs[r][t+1])[a], true
 }
 
 // EnvAction returns the environment action taken at time t of run r, if

@@ -496,3 +496,32 @@ func TestQuickSharedNodeMeansSharedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlocksAppendAndIndex pins the builder's block storage: at(i) finds
+// every element across the doubling block boundaries, variadic adds may
+// straddle a boundary, and flat returns them in order with no spare
+// capacity.
+func TestBlocksAppendAndIndex(t *testing.T) {
+	for _, n := range []int{0, 1, minBlock - 1, minBlock, minBlock + 1, 4*minBlock + 3, 1000} {
+		var b blocks[int]
+		for i := 0; i < n; {
+			k := min(3, n-i) // three at a time where it can
+			b.add([]int{i, i + 1, i + 2}[:k]...)
+			i += k
+		}
+		for i := 0; i < n; i++ {
+			if got := *b.at(i); got != i {
+				t.Fatalf("n=%d: at(%d) = %d", n, i, got)
+			}
+		}
+		flat := b.flat()
+		if len(flat) != n || cap(flat) != n {
+			t.Fatalf("n=%d: flat has len %d, cap %d", n, len(flat), cap(flat))
+		}
+		for i, v := range flat {
+			if v != i {
+				t.Fatalf("n=%d: flat[%d] = %d", n, i, v)
+			}
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package pps
 
-import (
-	"strconv"
-	"strings"
-)
+import "slices"
 
 // SameShape reports whether two systems are label-identical: same agents
 // (names and order), same number of runs, same per-run lengths, and the
@@ -30,12 +27,14 @@ import (
 // node-identity classifiers such as logic.IsPastBased are computed per
 // system and are not candidates for sharing.
 //
-// The comparison itself is a memcmp of cached canonical signatures, so
-// after each side's first call the per-call cost is tiny. A sweep that
-// seeds each assignment's engine from its neighbour (core.NewSeeded)
-// calls SameShape once per assignment against the same seed; the
-// signature cache keeps that gate from eating the savings the sharing
-// buys.
+// The comparison allocates nothing and keeps nothing on either system.
+// When both trees have the same parent array — as every assignment of a
+// sweep does, since its systems differ only in edge probabilities — it
+// compares node by node: children keep creation order, so equal parent
+// arrays enumerate the same runs, and every node lies on some run, so
+// node-label equality is exactly point-label equality. Otherwise it
+// compares point by point over (r, t), which is what keeps label-equal
+// systems with different trees equal.
 func SameShape(a, b *System) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -43,51 +42,55 @@ func SameShape(a, b *System) bool {
 	if a == b {
 		return true
 	}
-	return a.shapeSignature() == b.shapeSignature()
-}
-
-// shapeSignature renders every label SameShape compares into one
-// canonical byte string and caches it on the System. Each label is
-// length-prefixed, so the encoding is injective on shapes — two systems
-// share a signature exactly when a direct label-by-label walk finds
-// them equal (sameShapeWalk, the differential shape_test.go pins). Signature equality is a single
-// memcmp; the walk it replaces re-touches every node label on every
-// call.
-func (s *System) shapeSignature() string {
-	s.shapeOnce.Do(func() {
-		var b strings.Builder
-		field := func(label string) {
-			b.WriteString(strconv.Itoa(len(label)))
-			b.WriteByte(':')
-			b.WriteString(label)
+	if !slices.Equal(a.agents, b.agents) || len(a.runs) != len(b.runs) {
+		return false
+	}
+	if sameTree(a, b) {
+		if !slices.Equal(a.locals, b.locals) {
+			return false
 		}
-		b.WriteString(strconv.Itoa(len(s.agents)))
-		b.WriteByte(';')
-		for _, a := range s.agents {
-			field(a)
-		}
-		b.WriteString(strconv.Itoa(len(s.runs)))
-		b.WriteByte(';')
-		for _, run := range s.runs {
-			b.WriteString(strconv.Itoa(len(run)))
-			b.WriteByte(';')
-			for _, id := range run {
-				n := &s.nodes[id]
-				field(n.env)
-				field(n.envAct)
-				for _, l := range n.locals {
-					field(l)
-				}
-				// acts is nil at depth ≤ 1 (t = 0) by construction;
-				// deeper nodes record one action per agent.
-				b.WriteString(strconv.Itoa(len(n.acts)))
-				b.WriteByte(';')
-				for _, act := range n.acts {
-					field(act)
-				}
+		for id := NodeID(1); int(id) < len(a.nodes); id++ {
+			if !sameEdgeLabels(a, b, id, id) {
+				return false
 			}
 		}
-		s.shapeSig = b.String()
-	})
-	return s.shapeSig
+		return true
+	}
+	n := len(a.agents)
+	for r, run := range a.runs {
+		other := b.runs[r]
+		if len(run) != len(other) {
+			return false
+		}
+		for t, ia := range run {
+			ib := other[t]
+			if !sameEdgeLabels(a, b, ia, ib) ||
+				!slices.Equal(a.locals[(int(ia)-1)*n:int(ia)*n], b.locals[(int(ib)-1)*n:int(ib)*n]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameTree reports whether a and b have the same parent array.
+func sameTree(a, b *System) bool {
+	if len(a.nodes) != len(b.nodes) {
+		return false
+	}
+	for id := range a.nodes {
+		if a.nodes[id].parent != b.nodes[id].parent {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEdgeLabels compares the labels node ia of a and node ib of b carry
+// besides their local states: the environment state, the environment
+// action and the agents' actions (none at depth ≤ 1, one per agent
+// deeper).
+func sameEdgeLabels(a, b *System, ia, ib NodeID) bool {
+	na, nb := &a.nodes[ia], &b.nodes[ib]
+	return na.env == nb.env && na.envAct == nb.envAct && slices.Equal(a.actsOf(ia), b.actsOf(ib))
 }

@@ -1,10 +1,10 @@
 package pps
 
-// The shape-signature differential: SameShape now compares cached
-// canonical signatures, and these tests hold the signature encoding to
-// sameShapeWalk — the direct label-by-label reading — across systems
-// that agree, differ in measure only, differ in one label, or carry
-// labels crafted to collide under a naive (non-length-prefixed)
+// The SameShape differential: these tests hold SameShape — node by node
+// over equal parent arrays, point by point otherwise — to sameShapeWalk,
+// the direct point-by-point reading, across systems that agree, differ
+// in measure only, differ in one label, share labels over different
+// trees, or carry labels crafted to collide under a naive concatenating
 // encoding.
 
 import (
@@ -28,11 +28,45 @@ func squadLike(t *testing.T, prNum int64, env1, act0, local1 string) *System {
 	return sys
 }
 
+// squadLikeEnvAct is squadLike(3, "e1", "alpha", "g1") with envAct
+// recorded as the environment's action on its first transition.
+func squadLikeEnvAct(t *testing.T, envAct string) *System {
+	t.Helper()
+	b := NewBuilder("i", "j")
+	g0 := b.Init(ratutil.One(), "e0", "g0", "h0")
+	b.Child(g0, Step{Pr: ratutil.R(3, 10), Acts: []string{"alpha", "wait"}, EnvAct: envAct, Env: "e1", Locals: []string{"g1", "h1"}})
+	b.Child(g0, Step{Pr: ratutil.R(7, 10), Acts: []string{"beta", "wait"}, Env: "e2", Locals: []string{"g2", "h1"}})
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// splitSquadLike is squadLike(3, "e1", "alpha", "g1") with its one
+// initial state split into two identical initial states, one per run:
+// the same label at every point (r, t) over a different tree, so only
+// SameShape's point-by-point comparison can find the two equal.
+func splitSquadLike(t *testing.T) *System {
+	t.Helper()
+	b := NewBuilder("i", "j")
+	g0a := b.Init(ratutil.R(3, 10), "e0", "g0", "h0")
+	g0b := b.Init(ratutil.R(7, 10), "e0", "g0", "h0")
+	b.Child(g0a, Step{Pr: ratutil.One(), Acts: []string{"alpha", "wait"}, Env: "e1", Locals: []string{"g1", "h1"}})
+	b.Child(g0b, Step{Pr: ratutil.One(), Acts: []string{"beta", "wait"}, Env: "e2", Locals: []string{"g2", "h1"}})
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestSameShapeMatchesWalk is the differential: on every pair drawn from
-// a family of perturbed systems, the signature comparison and the direct
+// a family of perturbed systems, SameShape and the direct point-by-point
 // walk must agree — including the diagonal (a system against a
-// separately-built copy of itself) and the measure-only perturbation,
-// which must NOT break shape equality.
+// separately-built copy of itself), the measure-only perturbation,
+// which must NOT break shape equality, and a label-equal system over a
+// different tree, which must not break it either.
 func TestSameShapeMatchesWalk(t *testing.T) {
 	family := []*System{
 		squadLike(t, 3, "e1", "alpha", "g1"),
@@ -42,12 +76,14 @@ func TestSameShapeMatchesWalk(t *testing.T) {
 		squadLike(t, 3, "e1", "gamma", "g1"), // action label differs
 		squadLike(t, 3, "e1", "alpha", "gX"), // local label differs
 		buildDiamond(t),                      // different agents / arity
+		splitSquadLike(t),                    // labels equal, tree differs
+		squadLikeEnvAct(t, "lost"),           // env action label differs
 	}
 	for i, a := range family {
 		for j, b := range family {
 			got, want := SameShape(a, b), sameShapeWalk(a, b)
 			if got != want {
-				t.Errorf("pair (%d,%d): signature says %v, walk says %v", i, j, got, want)
+				t.Errorf("pair (%d,%d): SameShape says %v, walk says %v", i, j, got, want)
 			}
 			if i == j && !got {
 				t.Errorf("system %d not same-shape as itself", i)
@@ -59,6 +95,12 @@ func TestSameShapeMatchesWalk(t *testing.T) {
 	}
 	if SameShape(family[0], family[3]) {
 		t.Error("env relabel kept shape equality; sharing would be unsound")
+	}
+	if !SameShape(family[0], family[7]) || !SameShape(family[7], family[2]) {
+		t.Error("a label-equal system over a different tree compared unequal")
+	}
+	if SameShape(family[0], family[8]) || SameShape(family[7], family[8]) {
+		t.Error("env action relabel kept shape equality; sharing would be unsound")
 	}
 }
 
@@ -75,8 +117,8 @@ func TestSameShapeNil(t *testing.T) {
 
 // TestShapeSignatureInjective feeds labels designed to collide under a
 // concatenating encoding — one system's env ends where another's local
-// begins — and requires the length-prefixed signature to keep them
-// apart, in agreement with the walk.
+// begins — and requires SameShape to keep them apart, in agreement with
+// the walk.
 func TestShapeSignatureInjective(t *testing.T) {
 	build := func(env, local string) *System {
 		b := NewBuilder("i")
@@ -96,7 +138,7 @@ func TestShapeSignatureInjective(t *testing.T) {
 	}
 	for i, p := range pairs {
 		if SameShape(p[0], p[1]) {
-			t.Errorf("pair %d: crafted labels collided in the signature", i)
+			t.Errorf("pair %d: crafted labels compared equal", i)
 		}
 		if sameShapeWalk(p[0], p[1]) {
 			t.Errorf("pair %d: walk also confused the labels; test is vacuous", i)
@@ -104,8 +146,8 @@ func TestShapeSignatureInjective(t *testing.T) {
 	}
 }
 
-// sameShapeWalk is the direct label-by-label reading of shape equality,
-// kept as the differential reference for the signature encoding.
+// sameShapeWalk is the direct point-by-point reading of shape equality,
+// kept as the differential reference for SameShape.
 func sameShapeWalk(a, b *System) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -128,15 +170,16 @@ func sameShapeWalk(a, b *System) bool {
 				return false
 			}
 			for ag := range a.agents {
-				if na.locals[ag] != nb.locals[ag] {
+				if a.Local(RunID(r), t, AgentID(ag)) != b.Local(RunID(r), t, AgentID(ag)) {
 					return false
 				}
 			}
-			if len(na.acts) != len(nb.acts) {
+			actsA, actsB := a.ActsOf(a.runs[r][t]), b.ActsOf(b.runs[r][t])
+			if len(actsA) != len(actsB) {
 				return false
 			}
-			for ag := range na.acts {
-				if na.acts[ag] != nb.acts[ag] {
+			for ag := range actsA {
+				if actsA[ag] != actsB[ag] {
 					return false
 				}
 			}

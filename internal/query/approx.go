@@ -75,16 +75,27 @@ type ApproxSpec struct {
 	// exactly).
 	Only bool
 
-	// conf is Delta's confidence level, set by normalized: every
-	// estimate of one evaluation reads its ln(2/δ) bound, which is
-	// therefore derived at most once per request.
+	// conf is Delta's confidence level, set by Normalized on success
+	// only: every estimate of one evaluation reads its ln(2/δ) bound,
+	// which is therefore derived at most once per request.
 	conf *montecarlo.Confidence
 }
 
-// normalized validates the spec and fills defaults, resolving the
-// sample budget and the confidence level its estimates share. It never
-// mutates the receiver.
-func (a ApproxSpec) normalized() (ApproxSpec, error) {
+// Normalized validates the spec and fills defaults, resolving the
+// sample budget and the confidence level its estimates share: the
+// normalization every evaluation applies. It never mutates the
+// receiver. A normalized spec normalizes to itself at once, so a
+// transport that validates a spec at decode (the service's request
+// decoder) hands the result on, and an eps-derived budget's ln(2/δ) is
+// derived once per request. Fields changed after normalization give
+// the same result as normalizing afresh: the confidence level is kept
+// only while it belongs to the spec's own Delta, and a zeroed Samples
+// or Seed is filled again.
+func (a ApproxSpec) Normalized() (ApproxSpec, error) {
+	if a.conf != nil && a.conf.Delta() == a.Delta && a.Samples > 0 && a.Seed != 0 {
+		return a, nil
+	}
+	a.conf = nil
 	if a.Delta == nil {
 		a.Delta = ratutil.R(1, 100)
 	} else {
@@ -99,12 +110,12 @@ func (a ApproxSpec) normalized() (ApproxSpec, error) {
 	if a.Samples < 0 {
 		return a, fmt.Errorf("query: approx sample budget must be positive, got %d", a.Samples)
 	}
-	a.conf = montecarlo.NewConfidence(a.Delta)
+	conf := montecarlo.NewConfidence(a.Delta)
 	if a.Samples == 0 {
 		if a.Eps == nil {
 			return a, fmt.Errorf("query: approx requires eps or an explicit sample budget")
 		}
-		n, err := a.conf.SampleSize(a.Eps)
+		n, err := conf.SampleSize(a.Eps)
 		if err != nil {
 			return a, fmt.Errorf("query: approx: %w", err)
 		}
@@ -113,16 +124,8 @@ func (a ApproxSpec) normalized() (ApproxSpec, error) {
 	if a.Seed == 0 {
 		a.Seed = 1
 	}
+	a.conf = conf
 	return a, nil
-}
-
-// Validate reports whether the spec would be accepted by an evaluation:
-// the same normalization the stream applies, surfaced so a transport
-// (the service's request decoder) can reject a bad spec with a client
-// error before any evaluation starts.
-func (a ApproxSpec) Validate() error {
-	_, err := a.normalized()
-	return err
 }
 
 // WithApprox enables the approximate tier: supported queries stream a

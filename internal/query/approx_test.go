@@ -594,3 +594,52 @@ func TestBeliefByActionNotApproximable(t *testing.T) {
 		t.Fatal("belief-at-local must be approximable")
 	}
 }
+
+// TestNormalizedSpecKeepsItsConfidence: an eps-derived spec derives its
+// ln(2/δ) bound through one *Confidence per request. Normalizing a
+// normalized spec — what the stream does with a spec the service
+// normalized at decode and handed on through WithApprox — returns it at
+// once, Confidence and all; replacing Delta, Samples or Seed afterwards
+// normalizes afresh.
+func TestNormalizedSpecKeepsItsConfidence(t *testing.T) {
+	spec := ApproxSpec{Eps: ratutil.R(1, 10), Delta: ratutil.R(1, 100)}
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := montecarlo.SampleSize(spec.Eps, spec.Delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm.conf == nil || norm.Samples != want || norm.Seed != 1 {
+		t.Fatalf("normalized spec: conf %p, samples %d (want %d), seed %d", norm.conf, norm.Samples, want, norm.Seed)
+	}
+	if spec.conf != nil || spec.Samples != 0 {
+		t.Fatal("Normalized mutated its receiver")
+	}
+
+	cfg := newConfig([]Option{WithApprox(norm)})
+	again, err := cfg.approx.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.conf != norm.conf || again.Samples != norm.Samples {
+		t.Errorf("re-normalizing a handed-on spec made a second Confidence (%p, was %p)", again.conf, norm.conf)
+	}
+
+	for name, edit := range map[string]func(*ApproxSpec){
+		"delta":   func(s *ApproxSpec) { s.Delta = ratutil.R(1, 20) },
+		"samples": func(s *ApproxSpec) { s.Samples = 0 },
+		"seed":    func(s *ApproxSpec) { s.Seed = 0 },
+	} {
+		changed := norm
+		edit(&changed)
+		re, err := changed.Normalized()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if re.conf == norm.conf || re.conf.Delta() != re.Delta || re.Samples <= 0 || re.Seed == 0 {
+			t.Errorf("%s replaced: spec not normalized afresh (conf %p, samples %d, seed %d)", name, re.conf, re.Samples, re.Seed)
+		}
+	}
+}

@@ -73,7 +73,7 @@ func EvalEnvelopeSampled(q EnvelopeQuery, spec ApproxSpec, opts ...Option) (Samp
 		}
 		return SampledEnvelope{Range: *out.Result.Envelope, Err: out.Result.Err, Status: out.Status}, nil
 	}
-	norm, err := spec.normalized()
+	norm, err := spec.Normalized()
 	if err != nil {
 		return SampledEnvelope{}, err
 	}

@@ -126,7 +126,7 @@ func streamItems(items []MultiItem, cfg config) <-chan Frame {
 	go func() {
 		defer close(out)
 		if cfg.approx != nil {
-			norm, err := cfg.approx.normalized()
+			norm, err := cfg.approx.Normalized()
 			if err != nil {
 				// An invalid spec fails every slot in place: the stream
 				// keeps its one-frame-per-slot floor and the batch

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
+	"pak/internal/montecarlo"
 	"pak/internal/query"
 	"pak/internal/ratutil"
 	"pak/internal/scenarios"
@@ -283,6 +285,32 @@ func TestApproxBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, data)
 		}
+	}
+}
+
+// TestApproxSpecNormalizedAtDecode: the service hands the evaluation
+// the spec it normalized at decode, so an eps-derived request derives
+// its budget and its ln(2/δ) bound once: the decoded spec already
+// carries the eps-derived budget and the default seed, and normalizing
+// it again is the identity.
+func TestApproxSpecNormalizedAtDecode(t *testing.T) {
+	spec, err := (&ApproxRequest{Eps: "1/10", Delta: "1/100"}).approxSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := montecarlo.SampleSize(ratutil.R(1, 10), ratutil.R(1, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Samples != want || spec.Seed != 1 {
+		t.Fatalf("decoded spec: samples %d (want %d), seed %d (want 1)", spec.Samples, want, spec.Seed)
+	}
+	again, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, *spec) || again.Delta != spec.Delta {
+		t.Errorf("re-normalizing the decoded spec changed it: %+v, was %+v", again, *spec)
 	}
 }
 

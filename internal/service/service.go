@@ -673,8 +673,9 @@ type ApproxRequest struct {
 const maxApproxSamples = 1 << 22
 
 // approxSpec converts the wire form to the query layer's spec,
-// validating exactly as the evaluator would so a bad spec is a 400 at
-// decode, never N identical per-slot failures.
+// normalized exactly as the evaluator would normalize it, so a bad spec
+// is a 400 at decode, never N identical per-slot failures, and the
+// evaluation reuses this normalization (one ln(2/δ) per request).
 func (a *ApproxRequest) approxSpec() (*query.ApproxSpec, error) {
 	if a == nil {
 		return nil, nil
@@ -697,10 +698,11 @@ func (a *ApproxRequest) approxSpec() (*query.ApproxSpec, error) {
 	if spec.Samples > maxApproxSamples {
 		return nil, fmt.Errorf("approx: sample budget %d above the server cap of %d", spec.Samples, maxApproxSamples)
 	}
-	if err := spec.Validate(); err != nil {
+	norm, err := spec.Normalized()
+	if err != nil {
 		return nil, err
 	}
-	return &spec, nil
+	return &norm, nil
 }
 
 // SystemRequest is one per-system batch inside an EvalRequest.
