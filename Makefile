@@ -51,8 +51,8 @@ bench-query:
 
 # The service-hardening benchmarks: parallel cold builds,
 # eviction-thrash pricing, the envelope sweep's shared-cache economics
-# (N assignments over one EngineCache vs N isolated adversary.Resolve
-# builds), the sampled-first sweep's pruning (exact evaluations
+# (N assignments over one EngineCache vs N fresh engines over freshly
+# unfolded systems), the sampled-first sweep's pruning (exact evaluations
 # skipped where an assignment's CI cannot reach the envelope), and the
 # warm handler path (the standard batch and a loss sweep through each
 # buffered and streamed endpoint on resident engines).

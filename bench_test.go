@@ -357,14 +357,6 @@ func BenchmarkSameShape(b *testing.B) {
 	})
 }
 
-// BenchmarkE15QueryBatch regenerates the query-layer invariants (batch =
-// serial, exact, order-preserving) per iteration.
-func BenchmarkE15QueryBatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		requireMatch(b, experiments.E15QueryBatch)
-	}
-}
-
 // --- Query-batch benchmarks (serial vs parallel) ---
 //
 // The workload is the full theorem-check battery over the 4-agent firing
@@ -374,20 +366,10 @@ func BenchmarkE15QueryBatch(b *testing.B) {
 // loop on multicore hardware, which TestQueryBatchSpeedup (in
 // pak_test.go) asserts outright.
 
-// benchQueryWorkload builds the benchmark system and workload once.
-func benchQueryWorkload(b *testing.B) (*pak.System, []pak.Query) {
-	b.Helper()
-	sys, err := pak.NFiringSquadSystem(4, pak.Rat(1, 10), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys, experiments.TheoremWorkload(4)
-}
-
 // BenchmarkQueryBatchSerialLoop is the baseline the tentpole moves away
 // from: one Eval call after another on a shared engine.
 func BenchmarkQueryBatchSerialLoop(b *testing.B) {
-	sys, qs := benchQueryWorkload(b)
+	sys, qs := queryWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -403,7 +385,7 @@ func BenchmarkQueryBatchSerialLoop(b *testing.B) {
 // BenchmarkQueryBatchParallel measures EvalBatch at increasing
 // parallelism over a shared cold engine.
 func BenchmarkQueryBatchParallel(b *testing.B) {
-	sys, qs := benchQueryWorkload(b)
+	sys, qs := queryWorkload(b)
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
@@ -596,7 +578,7 @@ func BenchmarkServeWarm(b *testing.B) {
 // every query on its own engine, no shared memoization. The gap to the
 // shared-cache runs is the value of the engine's memoization.
 func BenchmarkQueryBatchColdEngines(b *testing.B) {
-	sys, qs := benchQueryWorkload(b)
+	sys, qs := queryWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -607,14 +589,37 @@ func BenchmarkQueryBatchColdEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkEnvelopeSharedCache pins the tentpole's economics: a sweep
-// whose N assignments resolve through the shared engine cache
+// freshSweepItems builds one envelope item per assignment of rs, each
+// on a fresh engine over a freshly unfolded system: nothing comes from
+// the process-wide sweep cache, and nothing is shared between calls.
+func freshSweepItems(tb testing.TB, rs *pak.ResolvedSweep) []pak.EnvelopeItem {
+	tb.Helper()
+	insts := rs.Instances()
+	items := make([]pak.EnvelopeItem, len(insts))
+	for i, inst := range insts {
+		items[i] = freshItem(tb, inst.Assignment.String(), inst.Canonical)
+	}
+	return items
+}
+
+// freshItem builds spec through the registry onto a fresh engine and
+// labels it with assignment.
+func freshItem(tb testing.TB, assignment, spec string) pak.EnvelopeItem {
+	tb.Helper()
+	sys, err := pak.BuildScenario(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pak.EnvelopeItem{Assignment: assignment, Spec: spec, Engine: pak.NewEngine(sys)}
+}
+
+// BenchmarkEnvelopeSharedCache pins the sweep economics: a sweep whose
+// N assignments resolve through the shared engine cache
 // (pak.ResolveSweep + SweepItems, the registry/EngineCache path) versus
-// the pre-refactor shape — N isolated adversary.Resolve builds per
-// evaluation, every system unfolded and every engine cold each time.
-// After the first iteration the shared-cache path pays zero unfolds and
-// folds over warm memoization; the isolated path rebuilds everything,
-// so the per-op gap is the cost the old private build path hid.
+// N isolated builds per evaluation, every system unfolded and every
+// engine cold each time. After the first iteration the shared-cache
+// path pays zero unfolds and folds over warm memoization; the isolated
+// path rebuilds everything, so the per-op gap is what the cache saves.
 func BenchmarkEnvelopeSharedCache(b *testing.B) {
 	const space = "sweep(nsquad,n=3,loss=0..1/2/1/10)"
 	inner := pak.ConstraintQuery{Fact: pak.AllFire(3), Agent: "General", Action: "fire"}
@@ -629,21 +634,15 @@ func BenchmarkEnvelopeSharedCache(b *testing.B) {
 	})
 
 	b.Run("isolated-resolve", func(b *testing.B) {
-		losses := []string{"0", "1/10", "1/5", "3/10", "2/5", "1/2"}
-		space, err := pak.NewSpace(pak.Choice{Name: "loss", Options: losses})
+		rs, err := pak.ResolveSweep(space)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			instances, err := pak.Resolve(space, func(a pak.Assignment) (*pak.System, error) {
-				return pak.NFiringSquadSystem(3, pak.MustRat(a["loss"]), false)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			env, err := pak.ConstraintEnvelope(instances, pak.AllFire(3), "General", "fire")
-			if err != nil || env.Min == nil {
-				b.Fatal(err)
+			out, err := pak.EvalEnvelope(pak.EnvelopeQuery{Inner: inner, Items: freshSweepItems(b, rs)},
+				pak.WithParallelism(1))
+			if err != nil || out.Result.Envelope.Visited != 6 {
+				b.Fatalf("sweep: %v (%+v)", err, out.Result.Envelope)
 			}
 		}
 	})
@@ -798,15 +797,9 @@ func BenchmarkEnvelopeSampledPrune(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Cold items per iteration: pruning saves unfold + exact fold work,
-	// which warm engine caches would otherwise hide.
-	items := func() []pak.EnvelopeItem {
-		it, err := pak.SweepItems(rs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return it
-	}
+	// Fresh engines per iteration: pruning saves unfold + exact fold
+	// work, which resident engines would otherwise hide.
+	items := func() []pak.EnvelopeItem { return freshSweepItems(b, rs) }
 
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,10 +1,6 @@
 // Command paperbench regenerates every numeric claim, figure and theorem
 // of the paper and prints a paper-vs-measured comparison table per
-// experiment (E1..E19 — E18 is retired and its ID stays unused —
-// including the unified query layer's batch invariants, the scenario
-// registry's multi-system fan-out checks, and the engine-cache and
-// structure-sharing equivalence records).
-// It exits non-zero if any value fails to match.
+// experiment (E1..E14). It exits non-zero if any value fails to match.
 //
 // Usage:
 //
@@ -39,10 +35,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "Usage: paperbench [-markdown] [-systems 100] [-samples 60000] [-seed 1]\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, `
-Runs E1..E19 (E18 is retired; IDs are stable), including E15's
-batch-=-serial invariant, E16's registry + multi-system fan-out checks,
-and E17/E19's eviction and structure-sharing equivalence records, and
-exits non-zero if any measured value fails to match the paper.
+Runs E1..E14, the paper's claims, and exits non-zero if any measured
+value fails to match the paper.
 
 Examples:
   paperbench                     the full reproduction gate (CI runs this)

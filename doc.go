@@ -86,7 +86,7 @@
 //     plus per-slot deadline errors, never discarding completed work), a
 //     size-bounded LRU engine cache whose eviction is invisible
 //     (WithServiceEngineCache — rebuilt engines answer byte-identically,
-//     experiment E17), and concurrent singleflight cold builds;
+//     TestEvictionInvisible), and concurrent singleflight cold builds;
 //     cmd/pakload + internal/load drive it all under concurrent load
 //     with latency/error-taxonomy JSON reports (cold/warm latency split
 //     per scenario); see examples/service for the walkthrough (start
@@ -112,10 +112,11 @@
 //     Monte-Carlo cross-validation with Hoeffding confidence radii;
 //   - group epistemics: NewSlice computes Monderer–Samet probabilistic
 //     common belief over time slices;
-//   - nondeterminism: NewSpace/Resolve fix adversaries per the paper's
-//     Section 2; ConstraintEnvelope/MetricEnvelope analyze ranges across
-//     a resolved family (thin shims over the same envelope fold the
-//     sweeps use, sharing each instance's engine across calls);
+//   - nondeterminism: fixing an adversary per the paper's Section 2 is
+//     one envelope item (an assignment label and its engine); ResolveSweep
+//     and SweepItems build the items of a sweep(...) space, and
+//     EvalEnvelope quantifies any single-valued query over them, an
+//     opaque Go metric included through MetricQuery;
 //   - serialization: MarshalSystem/UnmarshalSystem and ParseFact for the
 //     CLI tools.
 //

@@ -168,75 +168,88 @@ func TestNewSeededShapeGate(t *testing.T) {
 }
 
 // TestSeededEngineMatchesFresh is the soundness differential: warm an
-// engine on one loss assignment, seed a neighbour from it, and hold
-// every answer class that crosses the shared tables — beliefs,
-// constraint probabilities, expectations, threshold measures, the
-// independence report, the theorem checkers — to the rationals a fresh
-// engine computes for the neighbour's measure.
+// engine on one loss assignment, then seed a chain of neighbours from
+// it, each from its predecessor, as a sweep does. Sharing must engage on
+// every link, and every answer class that crosses the shared tables —
+// beliefs, constraint probabilities, expectations, threshold measures,
+// the independence report, the theorem checkers — must equal the
+// rationals a fresh engine computes for the link's measure. The
+// independence report must also equal the direct Definition 4.1 reading.
 func TestSeededEngineMatchesFresh(t *testing.T) {
 	const n = 3
-	warm := squadEngine(t, n, 1)
+	chain := squadEngine(t, n, 1)
 	fact := scenarios.AllFireFact(n)
+	heard := logic.Once(logic.LocalContains(scenarios.General, "Yes"))
 
 	// Warm the shared tables through the first assignment.
-	if _, err := warm.ConstraintProb(fact, scenarios.General, scenarios.ActFire); err != nil {
+	if _, err := chain.ConstraintProb(fact, scenarios.General, scenarios.ActFire); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire); err != nil {
+	if _, err := chain.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire); err != nil {
 		t.Fatal(err)
 	}
 
-	fresh := squadEngine(t, n, 3)
-	seeded, shared := NewSeeded(fresh.sys, warm)
-	if !shared {
-		t.Fatal("seeding refused between loss assignments of one squad")
-	}
+	for _, loss := range []int64{2, 3, 4} {
+		fresh := squadEngine(t, n, loss)
+		seeded, shared := NewSeeded(fresh.sys, chain)
+		if !shared {
+			t.Fatalf("loss %d/10: seeding refused between loss assignments of one squad", loss)
+		}
+		chain = seeded
 
-	check := func(name string, f func(e *Engine) (*big.Rat, error)) {
-		t.Helper()
-		want, err1 := f(fresh)
-		got, err2 := f(seeded)
+		check := func(name string, f func(e *Engine) (*big.Rat, error)) {
+			t.Helper()
+			want, err1 := f(fresh)
+			got, err2 := f(seeded)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("loss %d/10 %s: fresh err %v, seeded err %v", loss, name, err1, err2)
+			}
+			if !ratutil.Eq(got, want) {
+				t.Errorf("loss %d/10 %s: seeded %s, fresh %s", loss, name, got.RatString(), want.RatString())
+			}
+		}
+		check("constraint", func(e *Engine) (*big.Rat, error) {
+			return e.ConstraintProb(fact, scenarios.General, scenarios.ActFire)
+		})
+		check("expected belief", func(e *Engine) (*big.Rat, error) {
+			return e.ExpectedBelief(fact, scenarios.General, scenarios.ActFire)
+		})
+		check("threshold measure", func(e *Engine) (*big.Rat, error) {
+			return e.ThresholdMeasure(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
+		})
+		check("threshold measure of a past fact", func(e *Engine) (*big.Rat, error) {
+			return e.ThresholdMeasure(heard, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
+		})
+		for _, local := range fresh.sys.LocalStates(0) {
+			check("belief at "+local, func(e *Engine) (*big.Rat, error) {
+				return e.Belief(fact, fresh.sys.AgentName(0), local)
+			})
+		}
+
+		gotRep, err := seeded.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRep, err := fresh.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameReport(gotRep, wantRep) {
+			t.Errorf("loss %d/10 independence: seeded %+v, fresh %+v", loss, gotRep, wantRep)
+		}
+		if direct := directIndependence(t, fresh.sys, fact, scenarios.General, scenarios.ActFire); !sameReport(gotRep, direct) {
+			t.Errorf("loss %d/10 independence: seeded %+v, direct %+v", loss, gotRep, direct)
+		}
+
+		gotSuf, err1 := seeded.CheckSufficiency(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
+		wantSuf, err2 := fresh.CheckSufficiency(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
 		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: fresh err %v, seeded err %v", name, err1, err2)
+			t.Fatalf("loss %d/10 sufficiency: seeded err %v, fresh err %v", loss, err1, err2)
 		}
-		if !ratutil.Eq(got, want) {
-			t.Errorf("%s: seeded %s, fresh %s", name, got.RatString(), want.RatString())
+		if gotSuf.Holds() != wantSuf.Holds() || gotSuf.Independent != wantSuf.Independent ||
+			!ratutil.Eq(gotSuf.MinBelief, wantSuf.MinBelief) || !ratutil.Eq(gotSuf.ConstraintProb, wantSuf.ConstraintProb) {
+			t.Errorf("loss %d/10 sufficiency: seeded %+v, fresh %+v", loss, gotSuf, wantSuf)
 		}
-	}
-	check("constraint", func(e *Engine) (*big.Rat, error) {
-		return e.ConstraintProb(fact, scenarios.General, scenarios.ActFire)
-	})
-	check("expected belief", func(e *Engine) (*big.Rat, error) {
-		return e.ExpectedBelief(fact, scenarios.General, scenarios.ActFire)
-	})
-	check("threshold measure", func(e *Engine) (*big.Rat, error) {
-		return e.ThresholdMeasure(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
-	})
-	local := fresh.sys.LocalStates(0)[0]
-	check("belief at local", func(e *Engine) (*big.Rat, error) {
-		return e.Belief(fact, fresh.sys.AgentName(0), local)
-	})
-
-	gotRep, err := seeded.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRep, err := fresh.LocalStateIndependence(fact, scenarios.General, scenarios.ActFire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameReport(gotRep, wantRep) {
-		t.Errorf("independence: seeded %+v, fresh %+v", gotRep, wantRep)
-	}
-
-	gotSuf, err1 := seeded.CheckSufficiency(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
-	wantSuf, err2 := fresh.CheckSufficiency(fact, scenarios.General, scenarios.ActFire, ratutil.R(1, 2))
-	if err1 != nil || err2 != nil {
-		t.Fatalf("sufficiency: seeded err %v, fresh err %v", err1, err2)
-	}
-	if gotSuf.Holds() != wantSuf.Holds() || gotSuf.Independent != wantSuf.Independent ||
-		!ratutil.Eq(gotSuf.MinBelief, wantSuf.MinBelief) || !ratutil.Eq(gotSuf.ConstraintProb, wantSuf.ConstraintProb) {
-		t.Errorf("sufficiency: seeded %+v, fresh %+v", gotSuf, wantSuf)
 	}
 }
 

@@ -182,7 +182,7 @@ func (e *Engine) CheckNecessity(f logic.Fact, agent, action string, p *big.Rat) 
 	// Iterate in sorted state order: the witness is "some state with
 	// β ≥ p", and picking the lexicographically first makes the report —
 	// and hence every wire response embedding it — deterministic across
-	// runs and engine rebuilds (the stability E17 pins).
+	// runs and engine rebuilds (the stability TestEvictionInvisible pins).
 	locals := make([]string, 0, len(beliefs))
 	for local := range beliefs {
 		locals = append(locals, local)

@@ -36,7 +36,7 @@ type Row struct {
 
 // Result is the outcome of one experiment.
 type Result struct {
-	// ID is the experiment identifier (E1..E10).
+	// ID is the experiment identifier (E1..E14).
 	ID string
 	// Title describes the experiment.
 	Title string

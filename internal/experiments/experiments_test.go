@@ -12,9 +12,9 @@ func TestAllExperimentsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// E1..E19 without the retired E18.
-	if len(results) != 18 {
-		t.Fatalf("expected 18 experiments, got %d", len(results))
+	// E1..E14: the paper's claims.
+	if len(results) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(results))
 	}
 	ids := map[string]bool{}
 	for _, res := range results {
@@ -32,7 +32,7 @@ func TestAllExperimentsMatch(t *testing.T) {
 			t.Errorf("%s: AllMatch false", res.ID)
 		}
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E19"} {
+	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}

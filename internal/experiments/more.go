@@ -391,10 +391,6 @@ func Builders(systems, samples int, seed int64) []func() (Result, error) {
 		E12Martingale,
 		E13LossSensitivity,
 		E14NSquad,
-		E15QueryBatch,
-		E16RegistryMultiBatch,
-		E17EvictionEquivalence,
-		E19StructureSharing,
 	}
 }
 

@@ -2,12 +2,14 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
 
 	"pak/internal/core"
 	"pak/internal/paper"
+	"pak/internal/pps"
 	"pak/internal/ratutil"
 	"pak/internal/scenarios"
 )
@@ -162,6 +164,75 @@ func TestEnvelopeSkipAndFailureSlots(t *testing.T) {
 	}
 	if out.Result.Err == nil || !strings.Contains(out.Result.Err.Error(), "no single envelope value") {
 		t.Fatalf("valueless inner err = %v", out.Result.Err)
+	}
+}
+
+// fsItem builds one envelope item over Example 1's firing squad.
+func fsItem(t *testing.T, assignment string, build func() (*pps.System, error)) EnvelopeItem {
+	t.Helper()
+	sys, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return EnvelopeItem{Assignment: assignment, Engine: core.New(sys)}
+}
+
+// TestConstraintEnvelope: the adversary fixes Example 1's go input, as
+// in the paper's Section 2 discussion. Under go=0 Alice never fires, so
+// that assignment is skipped by name; under go=1 the constraint is the
+// paper's 99/100, which is then both bounds and both witnesses.
+func TestConstraintEnvelope(t *testing.T) {
+	var items []EnvelopeItem
+	for _, g := range []int{0, 1} {
+		items = append(items, fsItem(t, fmt.Sprintf("go=%d", g), func() (*pps.System, error) {
+			return paper.FiringSquadFixedGo(ratutil.R(1, 10), paper.FSOriginal, g)
+		}))
+	}
+	out, err := EvalEnvelope(EnvelopeQuery{
+		Inner: ConstraintQuery{Fact: paper.FSBothFire(), Agent: paper.Alice, Action: paper.ActFire},
+		Items: items,
+	})
+	if err != nil || out.Result.Err != nil {
+		t.Fatalf("envelope: %v / %v", err, out.Result.Err)
+	}
+	env := out.Result.Envelope
+	if len(env.Skipped) != 1 || env.Skipped[0] != "go=0" {
+		t.Fatalf("skipped = %v", env.Skipped)
+	}
+	if !ratutil.Eq(env.Min, ratutil.R(99, 100)) || !ratutil.Eq(env.Max, ratutil.R(99, 100)) {
+		t.Fatalf("envelope = [%v, %v], want [99/100, 99/100]", env.Min, env.Max)
+	}
+	if env.ArgMin != "go=1" || env.ArgMax != "go=1" {
+		t.Fatalf("witnesses = %s, %s", env.ArgMin, env.ArgMax)
+	}
+}
+
+// TestMetricEnvelope sweeps an opaque metric over the adversary that
+// picks the protocol variant: the threshold-met measure
+// µ(β ≥ 0.95 | fire_A) is 991/1000 under the original protocol and 1
+// under the improved one.
+func TestMetricEnvelope(t *testing.T) {
+	items := []EnvelopeItem{
+		fsItem(t, "variant=orig", func() (*pps.System, error) {
+			return paper.FiringSquad(ratutil.R(1, 10), paper.FSOriginal)
+		}),
+		fsItem(t, "variant=improved", func() (*pps.System, error) {
+			return paper.FiringSquad(ratutil.R(1, 10), paper.FSImproved)
+		}),
+	}
+	metric := MetricQuery{Name: "threshold met", Fn: func(e *core.Engine) (*big.Rat, error) {
+		return e.ThresholdMeasure(paper.FSBothFire(), paper.Alice, paper.ActFire, ratutil.R(95, 100))
+	}}
+	out, err := EvalEnvelope(EnvelopeQuery{Inner: metric, Items: items})
+	if err != nil || out.Result.Err != nil {
+		t.Fatalf("envelope: %v / %v", err, out.Result.Err)
+	}
+	env := out.Result.Envelope
+	if !ratutil.Eq(env.Min, ratutil.R(991, 1000)) || !ratutil.IsOne(env.Max) {
+		t.Fatalf("envelope = [%v, %v]", env.Min, env.Max)
+	}
+	if env.ArgMin != "variant=orig" || env.ArgMax != "variant=improved" {
+		t.Fatalf("witnesses = %s, %s", env.ArgMin, env.ArgMax)
 	}
 }
 

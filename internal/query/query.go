@@ -647,8 +647,8 @@ func (q TimelineQuery) validate() error {
 // quantities (custom threshold measures, derived beliefs) compose with
 // EvalBatch and, chiefly, with EvalEnvelope's min/max folds. Like facts
 // built from opaque predicates, a MetricQuery evaluates but refuses to
-// serialize: it exists for in-process callers (internal/adversary's
-// MetricEnvelope is its main client), never for the wire.
+// serialize: it exists for in-process callers sweeping a quantity the
+// wire grammar does not name, never for the wire.
 type MetricQuery struct {
 	// Name labels the metric in Result.Query and error messages.
 	Name string

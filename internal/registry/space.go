@@ -32,8 +32,9 @@ package registry
 //
 // Resolution (Registry.ResolveSpace) expands every range under its
 // parameter's declared kind — integer ranges need integral bounds and
-// step — into an adversary.Space whose choices are the swept parameters
-// in declared order, and enumerates the complete assignments. Every
+// step — into one choice per swept parameter, in declared order, and
+// enumerates the complete assignments: the adversaries of the paper's
+// Section 2, each fixing every nondeterministic choice. Every
 // assignment binds against the scenario exactly like a plain spec and
 // yields its canonical system spec: the engine-cache key, so a sweep's
 // instances flow through the same shared EngineCache/singleflight
@@ -42,9 +43,9 @@ package registry
 import (
 	"fmt"
 	"math/big"
+	"sort"
 	"strings"
 
-	"pak/internal/adversary"
 	"pak/internal/ratutil"
 )
 
@@ -311,33 +312,80 @@ func rangeRat(tok string) (*big.Rat, error) {
 	return ratutil.Parse(tok)
 }
 
+// Assignment fixes every swept parameter of a space: one complete
+// adversary, parameter name → registry-normalized value.
+type Assignment map[string]string
+
+// String renders the assignment deterministically, sorted by name:
+// "loss=1/10,n=3". It labels envelope slots and witnesses on the wire.
+func (a Assignment) String() string {
+	names := make([]string, 0, len(a))
+	for n := range a {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(n + "=" + a[n])
+	}
+	return b.String()
+}
+
+// choice is one swept parameter with its normalized option values.
+type choice struct {
+	name    string
+	options []string
+}
+
+// forEachAssignment calls fn for every complete assignment of choices in
+// lexicographic option order (the first choice varies slowest) and stops
+// at fn's first error. No choices yield one empty assignment.
+func forEachAssignment(choices []choice, fn func(Assignment) error) error {
+	idx := make([]int, len(choices))
+	for {
+		a := make(Assignment, len(choices))
+		for i, c := range choices {
+			a[c.name] = c.options[idx[i]]
+		}
+		if err := fn(a); err != nil {
+			return err
+		}
+		i := len(choices) - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(choices[i].options) {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return nil
+		}
+	}
+}
+
 // SpaceInstance is one enumerated assignment of a resolved space with
 // the canonical system spec it binds to — the engine-cache key its
 // engine is shared under.
 type SpaceInstance struct {
 	// Assignment fixes every swept parameter.
-	Assignment adversary.Assignment
+	Assignment Assignment
 	// Canonical is the assignment's fully resolved system spec.
 	Canonical string
 }
 
 // ResolvedSpace is a space spec bound against a registry: the
-// adversary.Space over the swept parameters and the enumerated,
-// validated instances.
+// enumerated, validated instances of its swept parameters.
 type ResolvedSpace struct {
 	scenario  string
 	params    []SpaceParam // declared order, fixed values normalized
-	space     *adversary.Space
 	instances []SpaceInstance
 }
 
 // ScenarioName returns the swept scenario's name.
 func (rs *ResolvedSpace) ScenarioName() string { return rs.scenario }
-
-// Space returns the adversary space over the swept parameters: one
-// choice per swept parameter in declared order, options in progression
-// order, every registry-normalized.
-func (rs *ResolvedSpace) Space() *adversary.Space { return rs.space }
 
 // Size returns the number of complete assignments.
 func (rs *ResolvedSpace) Size() int { return len(rs.instances) }
@@ -359,7 +407,7 @@ func (rs *ResolvedSpace) Canonical() string {
 
 // ResolveSpace parses a space-valued spec and binds it against the
 // registry: ranges expand under their parameters' declared kinds, the
-// swept parameters become an adversary.Space, and every complete
+// swept parameters become the space's choices, and every complete
 // assignment is validated by binding it exactly like a plain spec,
 // yielding its canonical system spec. The instances are enumerated in
 // the space's canonical order (declared parameter order, progression
@@ -399,7 +447,7 @@ func (r *Registry) ResolveSpace(spec string) (*ResolvedSpace, error) {
 	// fixed values now so Canonical() needs no second pass.
 	ordered := make([]SpaceParam, 0, len(sc.Params))
 	fixed := make(map[string]string)
-	var choices []adversary.Choice
+	var choices []choice
 	for _, dp := range sc.Params {
 		p, ok := byName[dp.Name]
 		if !ok {
@@ -425,21 +473,25 @@ func (r *Registry) ResolveSpace(spec string) (*ResolvedSpace, error) {
 			}
 			options[i] = norm
 		}
-		choices = append(choices, adversary.Choice{Name: dp.Name, Options: options})
+		choices = append(choices, choice{name: dp.Name, options: options})
 		ordered = append(ordered, p)
 	}
-	space, err := adversary.NewSpace(choices...)
-	if err != nil {
-		// Unreachable: names are declared-distinct, ranges are non-empty.
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if size := space.Size(); size > MaxSpaceAssignments {
-		return nil, fmt.Errorf("%w: %s enumerates %d assignments, above the bound of %d",
-			ErrBadSpec, ss.String(), size, MaxSpaceAssignments)
+	// Multiply the option counts only until the product passes the cap:
+	// enough swept parameters would overflow an int otherwise.
+	size := 1
+	for i, c := range choices {
+		if size *= len(c.options); size > MaxSpaceAssignments {
+			bound := ""
+			if i < len(choices)-1 {
+				bound = "at least "
+			}
+			return nil, fmt.Errorf("%w: %s enumerates %s%d assignments, above the bound of %d",
+				ErrBadSpec, ss.String(), bound, size, MaxSpaceAssignments)
+		}
 	}
 
-	rs := &ResolvedSpace{scenario: sc.Name, params: ordered, space: space}
-	err = space.ForEach(func(a adversary.Assignment) error {
+	rs := &ResolvedSpace{scenario: sc.Name, params: ordered}
+	err = forEachAssignment(choices, func(a Assignment) error {
 		named := make(map[string]string, len(fixed)+len(a))
 		for k, v := range fixed {
 			named[k] = v

@@ -109,9 +109,6 @@ func TestResolveSpaceEnumeratesCanonicalInstances(t *testing.T) {
 			t.Errorf("instance %d canonical round trip: %q → (%q, %v)", i, inst.Canonical, round, err)
 		}
 	}
-	if got := rs.Space().Size(); got != 6 {
-		t.Errorf("Space().Size() = %d", got)
-	}
 }
 
 func TestResolveSpaceCanonicalFixedPoint(t *testing.T) {
@@ -166,6 +163,104 @@ func TestResolveSpaceAssignmentCapCombinatorial(t *testing.T) {
 	_, err := Default().ResolveSpace("sweep(random,seed=1..100,depth=1..10,branch=1..8)")
 	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "assignments") {
 		t.Fatalf("combinatorial cap err = %v", err)
+	}
+}
+
+// intScenario registers a metadata-only scenario with one int
+// parameter (default 0) per name, in the given declared order.
+func intScenario(t *testing.T, names ...string) *Registry {
+	t.Helper()
+	sc := Scenario{Name: "grid", Doc: "x", Build: nilBuildStub}
+	for _, n := range names {
+		sc.Params = append(sc.Params, Param{Name: n, Kind: KindInt, Default: "0"})
+	}
+	r := New()
+	if err := r.Register(sc); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestResolveSpaceAssignmentCapOverflow: seven parameters swept over
+// MaxRangeValues values each enumerate 512^7 = 2^63 assignments, a
+// product that wraps a 64-bit int to its minimum. The cap must refuse
+// the space from a count that stops growing once past the bound.
+func TestResolveSpaceAssignmentCapOverflow(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g"}
+	r := intScenario(t, names...)
+	spec := "sweep(grid"
+	for _, n := range names {
+		spec += "," + n + "=0..511"
+	}
+	_, err := r.ResolveSpace(spec + ")")
+	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "enumerates at least 262144 assignments") {
+		t.Fatalf("overflowing cap err = %v", err)
+	}
+}
+
+// TestSpaceEnumeration: the first declared swept parameter varies
+// slowest, options run in progression order, and each assignment
+// renders sorted by parameter name whatever the declared order.
+func TestSpaceEnumeration(t *testing.T) {
+	rs, err := intScenario(t, "y", "x").ResolveSpace("sweep(grid,x=0..1,y=0..2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, inst := range rs.Instances() {
+		got = append(got, inst.Assignment.String()+" "+inst.Canonical)
+	}
+	want := []string{
+		"x=0,y=0 grid(y=0,x=0)", "x=1,y=0 grid(y=0,x=1)",
+		"x=0,y=1 grid(y=1,x=0)", "x=1,y=1 grid(y=1,x=1)",
+		"x=0,y=2 grid(y=2,x=0)", "x=1,y=2 grid(y=2,x=1)",
+	}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("enumeration:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestSpaceValidation: every choice of a space is named, distinct and
+// non-empty. Registration refuses an unnamed parameter, and the space
+// grammar refuses a repeated or an empty range.
+func TestSpaceValidation(t *testing.T) {
+	tests := []struct {
+		name string
+		err  func() error
+	}{
+		{"empty name", func() error {
+			return New().Register(Scenario{Name: "grid", Doc: "x", Build: nilBuildStub,
+				Params: []Param{{Name: "", Kind: KindInt, Default: "0"}}})
+		}},
+		{"duplicate", func() error {
+			_, err := intScenario(t, "x").ResolveSpace("sweep(grid,x=0..1,x=2..3)")
+			return err
+		}},
+		{"no options", func() error {
+			_, err := intScenario(t, "x").ResolveSpace("sweep(grid,x=1..0)")
+			return err
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if err := tt.err(); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("err = %v, want ErrBadSpec", err)
+			}
+		})
+	}
+}
+
+func TestForEachAssignmentStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	count := 0
+	err := forEachAssignment([]choice{{name: "x", options: []string{"0", "1", "2"}}}, func(Assignment) error {
+		if count++; count == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || count != 2 {
+		t.Fatalf("err=%v count=%d", err, count)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //     is never held while building.
 //   - Invisible: engines are deterministic functions of their canonical
 //     spec, so an evicted entry rebuilt later returns byte-identical
-//     results (experiment E17 and the eviction tests assert this).
+//     results (TestEvictionInvisible asserts this).
 //     Eviction costs warmth, never correctness.
 type EngineCache struct {
 	cap int

@@ -136,23 +136,41 @@ func TestEngineCacheBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// squadWorkload is every analysis kind and theorem check for the
+// general of the n-squad. The necessity check (Lemma 5.1) names a
+// witness state, so the workload also pins that the witness does not
+// depend on an engine's map iteration order.
+func squadWorkload(n int) []query.Query {
+	all := scenarios.AllFireFact(n)
+	g, fire, half := scenarios.General, scenarios.ActFire, ratutil.R(1, 2)
+	return []query.Query{
+		query.ConstraintQuery{Fact: all, Agent: g, Action: fire, Threshold: half},
+		query.ExpectationQuery{Fact: all, Agent: g, Action: fire},
+		query.BeliefQuery{Fact: all, Agent: g, Action: fire},
+		query.ThresholdQuery{Fact: all, Agent: g, Action: fire, P: ratutil.R(9, 10)},
+		query.IndependenceQuery{Fact: all, Agent: g, Action: fire},
+		query.TheoremQuery{Theorem: query.TheoremSufficiency, Fact: all, Agent: g, Action: fire, P: half},
+		query.TheoremQuery{Theorem: query.TheoremNecessity, Fact: all, Agent: g, Action: fire, P: half},
+		query.TheoremQuery{Theorem: query.TheoremExpectation, Fact: all, Agent: g, Action: fire},
+		query.TheoremQuery{Theorem: query.TheoremPAK, Fact: all, Agent: g, Action: fire, Eps: ratutil.R(1, 4)},
+		query.TheoremQuery{Theorem: query.TheoremKoP, Fact: all, Agent: g, Action: fire},
+	}
+}
+
 // TestEvictionInvisible is the contract the LRU rests on: evict
-// everything, re-evaluate, and the wire-form results are byte-identical
-// (the service-level twin of experiment E17).
+// everything, re-evaluate, and the wire-form results are byte-identical.
+// Equivalent spellings address one slot, and a capacity-1 cache never
+// holds more than one engine.
 func TestEvictionInvisible(t *testing.T) {
 	s := New(nil, WithEngineCacheSize(1))
-	qs := []query.Query{
-		query.ConstraintQuery{Fact: scenarios.AllFireFact(2), Agent: scenarios.General, Action: scenarios.ActFire},
-		query.ExpectationQuery{Fact: scenarios.AllFireFact(2), Agent: scenarios.General, Action: scenarios.ActFire},
-	}
 
-	evalDocs := func() []byte {
+	evalDocs := func(spec string, n int) []byte {
 		t.Helper()
-		e, _, err := s.engineFor("nsquad(2)")
+		e, _, err := s.engineFor(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := query.EvalBatch(e, qs)
+		results, err := query.EvalBatch(e, squadWorkload(n), query.WithParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,19 +181,22 @@ func TestEvictionInvisible(t *testing.T) {
 		return data
 	}
 
-	warm := evalDocs()
+	warm := evalDocs("nsquad(2)", 2)
 	// Force the only slot over to another spec: nsquad(2) is evicted.
-	if _, _, err := s.engineFor("nsquad(3)"); err != nil {
-		t.Fatal(err)
-	}
+	other := evalDocs("nsquad(3)", 3)
 	if s.Cache().Contains("nsquad(n=2,loss=1/10,improved=false)") {
 		t.Fatal("nsquad(2) survived a capacity-1 eviction")
 	}
-	rebuilt := evalDocs()
-	if string(warm) != string(rebuilt) {
+	if rebuilt := evalDocs("nsquad(2)", 2); string(warm) != string(rebuilt) {
 		t.Errorf("eviction visible:\nwarm    %s\nrebuilt %s", warm, rebuilt)
 	}
-	if s.Cache().Stats().Evictions < 2 {
-		t.Errorf("stats = %+v, want ≥ 2 evictions", s.Cache().Stats())
+	if rebuilt := evalDocs("nsquad(3)", 3); string(other) != string(rebuilt) {
+		t.Errorf("nsquad(3) eviction visible:\nwarm    %s\nrebuilt %s", other, rebuilt)
+	}
+	if aliased := evalDocs("nsquad(n=2,loss=1/10,improved=false)", 2); string(warm) != string(aliased) {
+		t.Errorf("equivalent spelling answered differently:\nshort %s\nlong  %s", warm, aliased)
+	}
+	if st := s.Cache().Stats(); st.Evictions < 3 || st.Len > 1 {
+		t.Errorf("stats = %+v, want ≥ 3 evictions and len ≤ 1", st)
 	}
 }

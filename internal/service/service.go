@@ -147,7 +147,8 @@ func WithMaxAssignments(n int) Option {
 // while a stream of distinct `random(seed=…)` specs cycles through the
 // bound instead of growing without limit. n ≤ 0 restores the unbounded
 // pre-eviction behaviour. Eviction is invisible to clients — a rebuilt
-// engine returns byte-identical results (E17) — it only costs warmth.
+// engine returns byte-identical results (TestEvictionInvisible) — it
+// only costs warmth.
 func WithEngineCacheSize(n int) Option {
 	return func(s *Server) { s.cacheSize = n }
 }
@@ -269,7 +270,7 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 }
 
 // Cache exposes the engine cache (stats and observation; the load
-// harness and experiment E17 read it).
+// harness and the eviction tests read it).
 func (s *Server) Cache() *EngineCache { return s.engines }
 
 // Handler returns the service's HTTP handler.

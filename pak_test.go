@@ -175,32 +175,33 @@ func TestPublicAPIProtocolAndSampling(t *testing.T) {
 	}
 }
 
-// TestPublicAPIAdversaryAndEncode exercises the adversary and codec paths.
+// TestPublicAPIAdversaryAndEncode exercises the adversary and codec
+// paths: an envelope over the adversary choosing Example 1's protocol
+// variant (the improved protocol dominates the original), each
+// assignment on a fresh engine.
 func TestPublicAPIAdversaryAndEncode(t *testing.T) {
-	space, err := pak.NewSpace(pak.Choice{Name: "variant", Options: []string{"orig", "improved"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instances, err := pak.Resolve(space, func(a pak.Assignment) (*pak.System, error) {
-		v := pak.FSOriginal
-		if a["variant"] == "improved" {
-			v = pak.FSImproved
-		}
-		return pak.FiringSquad(pak.Rat(1, 10), v)
-	})
-	if err != nil {
-		t.Fatal(err)
+	items := []pak.EnvelopeItem{
+		freshItem(t, "variant=orig", "fsquad"),
+		freshItem(t, "variant=improved", "fsquad(improved=true)"),
 	}
 	both := pak.And(pak.Does("Alice", "fire"), pak.Does("Bob", "fire"))
-	env, err := pak.ConstraintEnvelope(instances, both, "Alice", "fire")
-	if err != nil {
-		t.Fatal(err)
+	out, err := pak.EvalEnvelope(pak.EnvelopeQuery{
+		Inner: pak.ConstraintQuery{Fact: both, Agent: "Alice", Action: "fire"},
+		Items: items,
+	})
+	if err != nil || out.Result.Err != nil {
+		t.Fatalf("envelope: %v / %v", err, out.Result.Err)
 	}
+	env := out.Result.Envelope
 	if env.Min.RatString() != "99/100" || env.Max.RatString() != "990/991" {
 		t.Fatalf("envelope = [%v, %v]", env.Min, env.Max)
 	}
+	if env.ArgMin != "variant=orig" || env.ArgMax != "variant=improved" {
+		t.Fatalf("witnesses = %s, %s", env.ArgMin, env.ArgMax)
+	}
 
-	data, err := pak.MarshalSystem(instances[0].System)
+	sys := items[0].Engine.System()
+	data, err := pak.MarshalSystem(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPublicAPIAdversaryAndEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumRuns() != instances[0].System.NumRuns() {
+	if back.NumRuns() != sys.NumRuns() {
 		t.Fatal("round trip changed run count")
 	}
 

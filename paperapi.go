@@ -3,7 +3,6 @@ package pak
 import (
 	"math/big"
 
-	"pak/internal/adversary"
 	"pak/internal/encode"
 	"pak/internal/paper"
 	"pak/internal/randsys"
@@ -38,37 +37,6 @@ func FiringSquad(loss *big.Rat, variant FSVariant) (*System, error) {
 // for direct simulation.
 func FiringSquadModel(loss *big.Rat, variant FSVariant) (Model, error) {
 	return paper.FiringSquadModel(loss, variant)
-}
-
-// Adversary handling (paper Section 2's treatment of nondeterminism),
-// re-exported.
-type (
-	// Choice is one nondeterministic decision.
-	Choice = adversary.Choice
-	// Assignment fixes every choice: a complete adversary.
-	Assignment = adversary.Assignment
-	// AdversarySpace enumerates nondeterministic choices.
-	AdversarySpace = adversary.Space
-	// AdversaryInstance is one resolved adversary with its pps.
-	AdversaryInstance = adversary.Instance
-	// ConstraintRange is the min/max envelope of a constraint over a
-	// family of adversaries.
-	ConstraintRange = adversary.ConstraintRange
-)
-
-// NewSpace validates and returns an adversary choice space.
-func NewSpace(choices ...Choice) (*AdversarySpace, error) {
-	return adversary.NewSpace(choices...)
-}
-
-// Resolve builds one pps per complete adversary assignment.
-func Resolve(space *AdversarySpace, build func(Assignment) (*System, error)) ([]AdversaryInstance, error) {
-	return adversary.Resolve(space, build)
-}
-
-// ConstraintEnvelope evaluates µ(φ@α | α) over a family of adversaries.
-func ConstraintEnvelope(instances []AdversaryInstance, f Fact, agent, action string) (ConstraintRange, error) {
-	return adversary.ConstraintEnvelope(instances, f, agent, action)
 }
 
 // Serialization, re-exported.

@@ -1,29 +1,58 @@
 package pak_test
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
 	"pak"
-	"pak/internal/experiments"
 )
 
-// queryWorkload builds the benchmark system and theorem workload used
-// across the query-API tests.
-func queryWorkload(t testing.TB) (*pak.System, []pak.Query) {
-	t.Helper()
+// theoremWorkload is the standard batch of the query tests and
+// benchmarks: every agent of the n-squad × every analysis kind and
+// theorem, all built from structural (serializable) facts.
+func theoremWorkload(n int) []pak.Query {
+	all := pak.AllFire(n)
+	agents := []string{"General"}
+	for i := 1; i < n; i++ {
+		agents = append(agents, fmt.Sprintf("s%d", i))
+	}
+	half := pak.Rat(1, 2)
+	var qs []pak.Query
+	for _, agent := range agents {
+		qs = append(qs,
+			pak.ConstraintQuery{Fact: all, Agent: agent, Action: "fire", Threshold: half},
+			pak.ExpectationQuery{Fact: all, Agent: agent, Action: "fire"},
+			pak.BeliefQuery{Fact: all, Agent: agent, Action: "fire"},
+			pak.ThresholdQuery{Fact: all, Agent: agent, Action: "fire", P: pak.Rat(9, 10)},
+			pak.IndependenceQuery{Fact: all, Agent: agent, Action: "fire"},
+			pak.TheoremQuery{Theorem: pak.TheoremSufficiency, Fact: all, Agent: agent, Action: "fire", P: half},
+			pak.TheoremQuery{Theorem: pak.TheoremNecessity, Fact: all, Agent: agent, Action: "fire", P: half},
+			pak.TheoremQuery{Theorem: pak.TheoremExpectation, Fact: all, Agent: agent, Action: "fire"},
+			pak.TheoremQuery{Theorem: pak.TheoremPAK, Fact: all, Agent: agent, Action: "fire", Eps: pak.Rat(1, 4)},
+			pak.TheoremQuery{Theorem: pak.TheoremKoP, Fact: all, Agent: agent, Action: "fire"},
+		)
+	}
+	return qs
+}
+
+// queryWorkload builds the 4-agent squad and its theorem workload.
+func queryWorkload(tb testing.TB) (*pak.System, []pak.Query) {
+	tb.Helper()
 	sys, err := pak.NFiringSquadSystem(4, pak.Rat(1, 10), false)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return sys, experiments.TheoremWorkload(4)
+	return sys, theoremWorkload(4)
 }
 
 // TestQueryFacadeBatch exercises the public query surface end to end:
-// batch evaluation, order preservation, serialization through the
-// facade helpers, and exact agreement with one-off Eval calls.
+// batch evaluation on a shared and on per-query cold engines, order
+// preservation, serialization through the facade helpers, exact
+// agreement with one-off Eval calls, and a passing verdict for every
+// theorem check (a fail would be a counterexample to the paper).
 func TestQueryFacadeBatch(t *testing.T) {
 	sys, qs := queryWorkload(t)
 
@@ -39,26 +68,50 @@ func TestQueryFacadeBatch(t *testing.T) {
 		t.Fatalf("parsed %d queries, want %d", len(parsed), len(qs))
 	}
 
-	results, err := pak.EvalSystem(sys, parsed, pak.WithParallelism(8))
+	shared, err := pak.EvalSystem(sys, parsed, pak.WithParallelism(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := pak.EvalBatch(pak.NewEngine(sys), parsed, pak.WithParallelism(8), pak.WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := pak.NewEngine(sys)
+	theorems := 0
 	for i, q := range qs {
 		want, evalErr := pak.Eval(e, q)
 		if evalErr != nil {
 			t.Fatalf("query %d (%s): %v", i, q, evalErr)
 		}
-		got := results[i]
-		if got.Kind != want.Kind || got.Verdict != want.Verdict {
-			t.Errorf("query %d (%s): kind/verdict (%s,%s) vs (%s,%s)",
-				i, q, got.Kind, got.Verdict, want.Kind, want.Verdict)
+		for mode, results := range map[string][]pak.QueryResult{"shared": shared, "cold": cold} {
+			got := results[i]
+			if got.Kind != want.Kind || got.Verdict != want.Verdict {
+				t.Errorf("%s query %d (%s): kind/verdict (%s,%s) vs (%s,%s)",
+					mode, i, q, got.Kind, got.Verdict, want.Kind, want.Verdict)
+			}
+			if (got.Value == nil) != (want.Value == nil) {
+				t.Errorf("%s query %d (%s): value presence mismatch", mode, i, q)
+			} else if got.Value != nil && got.Value.Cmp(want.Value) != 0 {
+				t.Errorf("%s query %d (%s): %s vs %s", mode, i, q, got.Value.RatString(), want.Value.RatString())
+			}
+			if len(got.Values) != len(want.Values) {
+				t.Errorf("%s query %d (%s): %d named values, want %d", mode, i, q, len(got.Values), len(want.Values))
+			}
+			for k, wv := range want.Values {
+				if gv, ok := got.Values[k]; !ok || gv.Cmp(wv) != 0 {
+					t.Errorf("%s query %d (%s): values[%q] = %v, want %v", mode, i, q, k, gv, wv)
+				}
+			}
 		}
-		if (got.Value == nil) != (want.Value == nil) {
-			t.Errorf("query %d (%s): value presence mismatch", i, q)
-		} else if got.Value != nil && got.Value.Cmp(want.Value) != 0 {
-			t.Errorf("query %d (%s): %s vs %s", i, q, got.Value.RatString(), want.Value.RatString())
+		if want.Kind == pak.KindTheorem {
+			theorems++
+			if !want.Passed() {
+				t.Errorf("query %d (%s): verdict %s, want pass", i, q, want.Verdict)
+			}
 		}
+	}
+	if theorems != 20 {
+		t.Errorf("workload has %d theorem checks, want 20", theorems)
 	}
 }
 
